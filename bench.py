@@ -593,10 +593,10 @@ def _run_bench() -> dict:
                 read_images(columns=["caption"]).limit(20000).take_all()
             )
             ta = _np2.array([r["caption"] for r in caps], dtype=object)
-            # deterministic single-char perturbation → dist ≤ 1 pairs
-            tb = _np2.array(
-                [("x" + c[1:]) if c else "x" for c in ta], dtype=object
-            )
+            # one appended ASCII character: exactly one edit at byte
+            # level for every caption (replacing a non-ASCII first
+            # character costs up to 4 byte edits)
+            tb = _np2.array([c + "x" for c in ta], dtype=object)
             ed_holder["n"] = len(ta)
             d = levenshtein_capped_pairs(ta, tb, 2)
             return int((d <= 2).sum())

@@ -5265,7 +5265,7 @@ def q_images_tile_dup_pairs(sf_dir: str):
     every per-tile Hamming distance (bit_count(xor)), recounts
     qualifying tiles and re-applies the ≥3 rule."""
     from ..config import LSHConfig
-    from ..stages.lsh import OVERSIZED_EXACT_CAP
+    from ..stages.buckets import OVERSIZED_EXACT_CAP
     from ..stages.multimodal import tile_signatures
     from .dedup_images import _tile_candidates, _tile_verify
 
@@ -5294,7 +5294,7 @@ def q_images_tile_dup_pairs(sf_dir: str):
 
     _stage(sigs.map_batches(unpack, batch_format="pyarrow"), "tile_sigs")
     cfg = LSHConfig(n_blocks=4, combo_m=2, hamming_tau=tau)
-    from ..stages.lsh import EXACT_IDENTICAL_PAIRS_CAP as _ID_CAP
+    from ..stages.buckets import EXACT_IDENTICAL_PAIRS_CAP as _ID_CAP
 
     ids, arrs, ai, bi = _tile_candidates(
         sigs.to_pandas(), tau, cfg, OVERSIZED_EXACT_CAP,

@@ -25,6 +25,8 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from .buckets import all_pairs, runs
+
 logger = logging.getLogger(__name__)
 
 _EMPTY_ID_PAIRS = pa.table(
@@ -658,8 +660,8 @@ def expand_collapsed_pairs(
     - within-group: every member pair of a collapsed group qualifies
       automatically (cos(v, v) = 1 ≥ num/den) unless the vector is zero
       (cosine undefined — the exact operator drops those) or the
-      threshold exceeds 1.  Generated in one sorted pass with flat
-      numpy offset arithmetic — no per-group Python.
+      threshold exceeds 1.  Generated by the bucket-pairing kernel
+      (stages/buckets) over the rep-sorted block — no per-group Python.
     - cross-group: each verified rep pair (a, b) expands to the full
       member cross product of the two groups (members are byte-identical
       to their rep, so every expanded pair has EXACTLY the verified
@@ -679,26 +681,14 @@ def expand_collapsed_pairs(
     def block_pairs(block: pa.Table) -> pa.Table:
         if block.num_rows == 0 or not within_qualifies:
             return _EMPTY_MEMBER_PAIRS
-        ids = block[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        reps = block["rep"].to_numpy(zero_copy_only=False)
+        # zero vectors have no cosine: their (whole) groups pair nothing
         nz = block["nonzero"].to_numpy(zero_copy_only=False)
+        ids = block[id_col].to_numpy(zero_copy_only=False).astype(np.int64)[nz]
+        reps = block["rep"].to_numpy(zero_copy_only=False)[nz]
         order = np.lexsort((ids, reps))
-        ids, reps, nz = ids[order], reps[order], nz[order]
-        new_run = np.ones(len(reps), dtype=bool)
-        new_run[1:] = reps[1:] != reps[:-1]
-        run_start = np.maximum.accumulate(
-            np.where(new_run, np.arange(len(reps)), 0)
-        )
-        pos = np.arange(len(reps)) - run_start  # local position in group
-        pos = np.where(nz, pos, 0)  # zero vectors: no pairs
-        # element at local pos k pairs (as the larger side) with its k
-        # predecessors — flat base+within enumeration, no group loop
-        b_side = np.repeat(ids, pos)
-        base = np.repeat(np.arange(len(ids)) - pos, pos)
-        within = np.arange(int(pos.sum())) - np.repeat(
-            np.cumsum(pos) - pos, pos
-        )
-        a_side = ids[base + within]
+        ids, reps = ids[order], reps[order]
+        ai, bi = all_pairs(*runs(reps))
+        a_side, b_side = ids[ai], ids[bi]
         return pa.table(
             {
                 "a": pa.array(a_side, type=pa.int64()),

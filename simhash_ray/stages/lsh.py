@@ -17,14 +17,9 @@ design for the north rule's "LSH banding → Hamming verification":
    check against the per-space τ.
 
 Skew guard: buckets larger than ``pair_full_threshold``
-(config.LSHConfig) skip the all-members C(g,2) expansion.  Identical
-sigs are chained (Hamming-0 edges), and the DISTINCT-sig run heads
-still get an exact triu up to ``OVERSIZED_EXACT_CAP`` heads — so
-cross-sig recall stays 1.0 through the verify unless a single band
-bucket holds > OVERSIZED_EXACT_CAP distinct signatures, in which case
-a head-star is emitted with a loud warning and a within-τ pair can be
-missed ONLY if every band bucket it shares is equally degenerate.
-Fallback-path edges are reported in the ``star`` column.
+(config.LSHConfig) get the oversized-bucket policy of
+stages/buckets.oversized_bucket_pairs, which states the recall
+guarantee; fallback-path edges are reported in the ``star`` column.
 Exact-signature hot keys (the 10%-hot-caption stressor) never reach
 here: the pipeline collapses identical (simhash, phash) groups first
 (stages/collapse.py).
@@ -41,6 +36,7 @@ import ray.data as rd
 from ..config import LSHConfig
 from ..functions.hashing import part_of_ints
 from ..simhash import hamming64
+from .buckets import all_pairs, oversized_bucket_pairs, runs
 
 TEXT_SPACE, IMAGE_SPACE = 0, 1
 
@@ -132,129 +128,34 @@ def make_band_expander(
     return expand
 
 
-# Above ``pair_full_threshold`` members, a bucket's cross-sig pairs are
-# still generated EXACTLY (triu over the distinct-sig run heads) up to
-# this many distinct sigs — 4096 heads = 8.4M candidate pairs ≈ 0.25 s
-# of SWAR popcount, a bounded cost for a pathological bucket.  Beyond
-# it the star fallback concedes recall for pairs whose EVERY shared
-# band bucket is this degenerate, and a warning is logged.
-OVERSIZED_EXACT_CAP = 4096
-
-_oversized_cap_warned = False
-
-
-# Per-identical-sig-run pair budget for pairs-emitting operators
-# (exact_identical_cap): C(g,2) pairs enumerate exactly up to this many
-# per run (1<<24 ≈ 16.7M pairs ⇔ g ≈ 5800 identical members, ~270 MB of
-# index arrays); past it the run degrades to the connectivity chain
-# with a loud warning.  0 (the clustering default) keeps the chain for
-# every oversized run — clustering only needs connectivity.
-EXACT_IDENTICAL_PAIRS_CAP = 1 << 24
-
-_identical_cap_warned = False
-
-
-def _oversized_bucket_pairs(
-    seg_order: np.ndarray, seg_sig: np.ndarray, exact_identical_cap: int = 0,
-    emit_identical: bool = True,
+def lsh_bucket_pairs(
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    sig: np.ndarray,
+    band: np.ndarray | int,
+    pair_full_threshold: int,
+    exact_identical_cap: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edges for one oversized (> pair_full_threshold) bucket whose
-    members are given sig-sorted: (a) identical-sig runs — Hamming-0
-    chains by default (keeps hot masses connected when the caller
-    skipped exact-collapse), or, when ``exact_identical_cap`` > 0
-    (pairs-emitting operators, round-4 verdict item 4), the EXACT
-    C(r,2) triu per run up to that many pairs per run with a
-    chain-and-loud-warning fallback beyond; (b) EXACT triu over the
-    distinct-sig run heads when there are ≤ OVERSIZED_EXACT_CAP of
-    them — cross-sig recall stays 1.0 — else a head-star with a loud
-    warning (the only regime where a within-τ pair can be missed, and
-    only if every band bucket it shares is equally degenerate).
-
-    Returns (a_idx, b_idx, star): ``star`` is False only for the
-    exact identical-sig enumeration (not a fallback), True for chain /
-    head-triu / star edges (the observability flag downstream)."""
-    g = len(seg_order)
-    head = np.ones(g, dtype=bool)
-    head[1:] = seg_sig[1:] != seg_sig[:-1]
-    a_parts: list[np.ndarray] = []
-    b_parts: list[np.ndarray] = []
-    star_parts: list[np.ndarray] = []
-    if exact_identical_cap > 0 and not emit_identical:
-        # identical-sig members share the same key in EVERY band, so a
-        # pairs-emitting operator enumerates each run exactly once —
-        # from band 0 of its space — instead of n_bands× (the band-0
-        # bucket always contains the full run, enumerated exactly
-        # there); bands > 0 skip identical runs entirely
-        pass
-    elif exact_identical_cap > 0:
-        starts = np.flatnonzero(head)
-        lengths = np.diff(np.append(starts, g))
-        sel_runs = lengths >= 2  # skip the length-1 runs in bulk — a
-        # Python iteration per distinct sig would dominate degenerate
-        # mostly-distinct oversized buckets
-        for s, r in zip(starts[sel_runs], lengths[sel_runs]):
-            r = int(r)
-            n_pairs = r * (r - 1) // 2
-            if n_pairs <= exact_identical_cap:
-                i, j = np.triu_indices(r, 1)
-                a_parts.append(seg_order[s + i])
-                b_parts.append(seg_order[s + j])
-                star_parts.append(np.zeros(n_pairs, dtype=bool))
-            else:
-                global _identical_cap_warned
-                if not _identical_cap_warned:
-                    import logging
-
-                    logging.getLogger(__name__).warning(
-                        "identical-sig run of %d members (%d pairs) exceeds "
-                        "exact_identical_cap=%d: emitting the connectivity "
-                        "chain instead of exact pairs (logged once per "
-                        "worker)", r, n_pairs, exact_identical_cap,
-                    )
-                    _identical_cap_warned = True
-                idxs = seg_order[s : s + r]
-                a_parts.append(idxs[:-1])
-                b_parts.append(idxs[1:])
-                star_parts.append(np.ones(r - 1, dtype=bool))
-    else:
-        chain_b = np.flatnonzero(~head)
-        if len(chain_b):
-            a_parts.append(seg_order[chain_b - 1])
-            b_parts.append(seg_order[chain_b])
-            star_parts.append(np.ones(len(chain_b), dtype=bool))
-    run_heads = seg_order[head]
-    h = len(run_heads)
-    if h > 1:
-        if h <= OVERSIZED_EXACT_CAP:
-            i, j = np.triu_indices(h, 1)
-            a_parts.append(run_heads[i])
-            b_parts.append(run_heads[j])
-            star_parts.append(np.ones(len(i), dtype=bool))
-        else:
-            global _oversized_cap_warned
-            if not _oversized_cap_warned:
-                import logging
-
-                logging.getLogger(__name__).warning(
-                    "oversized LSH bucket with %d distinct sigs > "
-                    "OVERSIZED_EXACT_CAP=%d: falling back to a head-star; "
-                    "within-tau pairs confined to such buckets may be "
-                    "missed (logged once per worker)",
-                    h, OVERSIZED_EXACT_CAP,
-                )
-                _oversized_cap_warned = True
-            a_parts.append(np.full(h - 1, run_heads[0]))
-            b_parts.append(run_heads[1:])
-            star_parts.append(np.ones(h - 1, dtype=bool))
-    if not a_parts:
-        return (
-            np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, bool)
-        )
-    return (
-        np.concatenate(a_parts),
-        np.concatenate(b_parts),
-        np.concatenate(star_parts),
-    )
+    """The LSH operators' pairing policy over the bucket runs of one
+    sorted partition: all C(g,2) pairs for runs of ≤
+    ``pair_full_threshold`` members (star=False); larger runs are
+    re-sorted by ``sig`` and get the oversized-bucket policy
+    (buckets.oversized_bucket_pairs, whose docstring states the recall
+    guarantee).  ``band`` is each run's band index (or
+    one index for all): identical-sig runs are enumerated from band 0
+    only.  Returns (a_idx, b_idx, star)."""
+    full = lengths <= pair_full_threshold
+    ai, bi = all_pairs(starts[full], lengths[full])
+    parts = [(ai, bi, np.zeros(len(ai), dtype=bool))]
+    first_band = np.broadcast_to(np.asarray(band) == 0, lengths.shape)
+    for r in np.flatnonzero(~full):  # rare oversized buckets
+        s, g = starts[r], lengths[r]
+        seg = s + np.argsort(sig[s : s + g], kind="stable")
+        parts.append(oversized_bucket_pairs(
+            seg, sig[seg], exact_identical_cap,
+            emit_identical=bool(first_band[r]),
+        ))
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def _first_band_lut(cfg: LSHConfig) -> np.ndarray:
@@ -293,11 +194,7 @@ def make_pair_generator(
     """Per-coarse-partition pair generation (used via groupby('part')).
 
     Inside one partition: lexsort by (space, band, key), find runs,
-    emit all C(g,2) pairs for runs ≤ ``pair_full_threshold``; larger
-    runs get the oversized-bucket treatment (identical-sig chains +
-    exact triu over the ≤ ``OVERSIZED_EXACT_CAP`` distinct-sig run
-    heads, star + warning beyond — see the module docstring for the
-    precise recall guarantee; same scheme as
+    pair them with :func:`lsh_bucket_pairs` (same policy as
     ``broadcast_candidate_edges``).  The fallback-path edges are
     visible in the ``star`` column for observability.
 
@@ -342,51 +239,11 @@ def make_pair_generator(
         order = np.lexsort((key, band, space))
         space, band, key = space[order], band[order], key[order]
         ids, sig = ids[order], sig[order]
-        n = len(ids)
-        if n == 0:
-            return _EMPTY_PAIRS
-        new_run = np.ones(n, dtype=bool)
-        new_run[1:] = (
-            (space[1:] != space[:-1]) | (band[1:] != band[:-1]) | (key[1:] != key[:-1])
+        starts, lengths = runs(space, band, key)
+        ai, bi, stars = lsh_bucket_pairs(
+            starts, lengths, sig, band[starts], pair_full_threshold,
+            exact_identical_cap,
         )
-        starts = np.flatnonzero(new_run)
-        lengths = np.diff(np.append(starts, n))
-        a_idx: list[np.ndarray] = []
-        b_idx: list[np.ndarray] = []
-        star_flags: list[np.ndarray] = []
-        # Vectorized by distinct run length: collision runs are
-        # overwhelmingly g==2 (each near-dup pair re-collides in up to
-        # every band) — a Python loop per run costs ~70 CPU-seconds per
-        # 400k-row input; one triu template per distinct g costs ~none.
-        sel = lengths >= 2
-        full_sel = sel & (lengths <= pair_full_threshold)
-        for g in np.unique(lengths[full_sel]):
-            runs = starts[full_sel & (lengths == g)]
-            i, j = np.triu_indices(int(g), 1)
-            a_idx.append((runs[:, None] + i[None, :]).ravel())
-            b_idx.append((runs[:, None] + j[None, :]).ravel())
-        if a_idx:
-            n_full = sum(len(x) for x in a_idx)
-            star_flags.append(np.zeros(n_full, dtype=bool))
-        for s, g in zip(
-            starts[sel & ~full_sel], lengths[sel & ~full_sel]
-        ):  # rare oversized buckets — see _oversized_bucket_pairs
-            g = int(g)
-            seg_order = np.argsort(sig[s : s + g], kind="stable") + s
-            seg_sig = sig[seg_order]
-            oa, ob, ostar = _oversized_bucket_pairs(
-                seg_order, seg_sig, exact_identical_cap,
-                emit_identical=(int(band[s]) == 0),
-            )
-            if len(oa):
-                a_idx.append(oa)
-                b_idx.append(ob)
-                star_flags.append(ostar)
-        if not a_idx:
-            return _EMPTY_PAIRS
-        ai = np.concatenate(a_idx)
-        bi = np.concatenate(b_idx)
-        stars = np.concatenate(star_flags)
         if tau_arr is not None:  # fused Hamming verification
             sp = space[ai]
             if len(sp) and (sp.max() >= len(tau_arr) or tau_arr[sp].min() < 0):
@@ -488,46 +345,24 @@ def broadcast_candidate_edges(
             )
     refs = {sp: ray.put(arr.astype(np.uint64)) for sp, arr in sig_arrays.items()}
 
-    # num_cpus=2: the kernel (u64 sorts + pair gathers) is memory-
-    # bandwidth-bound — measured on 28 bands × 1M sigs, 8 concurrent
-    # tasks beat 28 concurrent by 1.6×; reserving 2 CPUs/task caps
-    # concurrency near the bandwidth sweet spot at every cluster size.
-    @ray.remote(num_cpus=2)
+    # up to 2 CPUs per task: the kernel (u64 sorts + pair gathers) is
+    # memory-bandwidth-bound — measured on 28 bands × 1M sigs, 8
+    # concurrent tasks beat 28 concurrent by 1.6×, so reserving 2
+    # CPUs/task caps concurrency near the bandwidth sweet spot; a
+    # 1-CPU session can never grant 2, so the task would wait forever.
+    @ray.remote(num_cpus=min(2, ray.cluster_resources().get("CPU", 2)))
     def band_task(sig_ref, combo, r, tau, band_idx):
         sig = sig_ref
         key = combo_key(sig, combo, r)
         order = np.lexsort((sig, key))
-        k = key[order]
-        sig_sorted = sig[order]
-        new_run = np.ones(len(k), dtype=bool)
-        new_run[1:] = k[1:] != k[:-1]
-        starts = np.flatnonzero(new_run)
-        lengths = np.diff(np.append(starts, len(k)))
-        a_idx, b_idx = [], []
-        sel = lengths >= 2
-        full_sel = sel & (lengths <= pair_full_threshold)
-        for g in np.unique(lengths[full_sel]):
-            runs = starts[full_sel & (lengths == g)]
-            i, j = np.triu_indices(int(g), 1)
-            a_idx.append((runs[:, None] + i[None, :]).ravel())
-            b_idx.append((runs[:, None] + j[None, :]).ravel())
-        # Oversized buckets: identical-sig chains + exact triu over the
-        # distinct-sig run heads (star + warning above
-        # OVERSIZED_EXACT_CAP) — shared kernel with make_pair_generator
-        # so the direct and distributed regimes cannot diverge.
-        for s, g in zip(starts[sel & ~full_sel], lengths[sel & ~full_sel]):
-            idx = np.arange(s, s + int(g))
-            oa, ob, _ = _oversized_bucket_pairs(
-                idx, sig_sorted[s : s + int(g)], exact_identical_cap,
-                emit_identical=(band_idx == 0),
-            )
-            if len(oa):
-                a_idx.append(oa)
-                b_idx.append(ob)
-        if not a_idx:
-            return np.empty(0, np.int64), np.empty(0, np.int64)
-        ai = order[np.concatenate(a_idx)]
-        bi = order[np.concatenate(b_idx)]
+        starts, lengths = runs(key[order])
+        # same policy as make_pair_generator, so the direct and
+        # distributed regimes cannot diverge
+        ai, bi, _ = lsh_bucket_pairs(
+            starts, lengths, sig[order], band_idx, pair_full_threshold,
+            exact_identical_cap,
+        )
+        ai, bi = order[ai], order[bi]
         d = hamming64(sig[ai], sig[bi])
         keep = d <= tau
         ai, bi = ai[keep], bi[keep]

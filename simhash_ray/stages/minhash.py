@@ -14,13 +14,10 @@ Candidate pairs are globally deduped, then verified by rejoining the
 signature table (broadcast via ``ray.put`` when it fits, hash
 ``Dataset.join`` above ``MINHASH_BROADCAST_LIMIT``).
 
-Skew guard: buckets larger than ``pair_full_threshold`` emit an
-exact triu up to ``OVERSIZED_EXACT_CAP`` members (recall through the
-θ-verify preserved), then an O(g) star to the bucket's min id with a
-loud warning — the only regime where a within-θ pair can be missed,
-and only if every band bucket it shares is equally degenerate; the
-fallback is observable via the ``star`` column (same policy as
-stages/lsh.py).
+Skew guard: buckets larger than ``pair_full_threshold`` get the LSH
+oversized-bucket policy (stages/buckets) on a bucket with no identical
+signatures — exact pairs up to ``OVERSIZED_EXACT_CAP`` members, a star
+to the min id beyond; fallback edges are flagged in the ``star`` column.
 
 The exact counterpart (``all_pairs_jaccard``) is a broadcast
 all-pairs operator used as the correctness oracle at validation scale;
@@ -38,9 +35,8 @@ import ray.data as rd
 
 from ..functions.hashing import part_of_ints
 from ..functions.tokenize import tokens_flat
-from .lsh import OVERSIZED_EXACT_CAP
-
-_oversized_cap_warned = False
+from .buckets import runs
+from .lsh import lsh_bucket_pairs
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 
@@ -305,10 +301,10 @@ def make_pair_generator(pair_full_threshold: int = 512, n_parts: int = 64):
     """Per-coarse-partition candidate generation over narrow band rows.
 
     Runs ≤ ``pair_full_threshold`` emit all C(g,2) pairs; larger runs
-    (hot buckets) emit an O(g) star to the bucket's min id — every
-    member stays connected, nothing is truncated, and the fallback is
-    flagged in the ``star`` column.  ``part`` re-keys pairs for the
-    downstream global dedupe groupby."""
+    (hot buckets) get the LSH oversized policy — exact pairs up to
+    ``OVERSIZED_EXACT_CAP`` members, an O(g) star to the bucket's min id
+    beyond — flagged in the ``star`` column.  ``part`` re-keys pairs
+    for the downstream global dedupe groupby."""
 
     def pairs(group: pa.Table) -> pa.Table:
         ids = group["id"].to_numpy(zero_copy_only=False)
@@ -316,55 +312,15 @@ def make_pair_generator(pair_full_threshold: int = 512, n_parts: int = 64):
         key = group["key"].to_numpy(zero_copy_only=False)
         order = np.lexsort((ids, key, band))
         ids, band, key = ids[order], band[order], key[order]
-        n = len(ids)
-        if n == 0:
+        starts, lengths = runs(band, key)
+        # a run's ids are distinct and sorted: the LSH policy sees a
+        # bucket with no identical signatures (exact pairs up to the
+        # cap, a star from the min id beyond)
+        ai, bi, stars = lsh_bucket_pairs(
+            starts, lengths, ids, band[starts], pair_full_threshold
+        )
+        if len(ai) == 0:
             return _EMPTY_PAIRS
-        new_run = np.ones(n, dtype=bool)
-        new_run[1:] = (band[1:] != band[:-1]) | (key[1:] != key[:-1])
-        starts = np.flatnonzero(new_run)
-        lengths = np.diff(np.append(starts, n))
-        a_i, b_i, star_f = [], [], []
-        sel = lengths >= 2
-        full_sel = sel & (lengths <= pair_full_threshold)
-        for g in np.unique(lengths[full_sel]):  # vectorized per distinct length
-            runs = starts[full_sel & (lengths == g)]
-            i, j = np.triu_indices(int(g), 1)
-            a_i.append((runs[:, None] + i[None, :]).ravel())
-            b_i.append((runs[:, None] + j[None, :]).ravel())
-        if a_i:
-            star_f.append(np.zeros(sum(len(x) for x in a_i), dtype=bool))
-        for s, g in zip(starts[sel & ~full_sel], lengths[sel & ~full_sel]):
-            g = int(g)
-            if g <= OVERSIZED_EXACT_CAP:
-                # round-4 recall fix (mirrors stages/lsh.py): exact triu
-                # so a within-θ pair far from the min-id member still
-                # reaches the verify; star=True keeps the fallback path
-                # observable
-                i, j = np.triu_indices(g, 1)
-                a_i.append(s + i)
-                b_i.append(s + j)
-                star_f.append(np.ones(len(i), dtype=bool))
-            else:  # pathological bucket → star to min id + loud warning
-                global _oversized_cap_warned
-                if not _oversized_cap_warned:
-                    import logging
-
-                    logging.getLogger(__name__).warning(
-                        "oversized MinHash bucket with %d members > "
-                        "OVERSIZED_EXACT_CAP=%d: head-star fallback; "
-                        "within-theta pairs confined to such buckets may "
-                        "be missed (logged once per worker)",
-                        g, OVERSIZED_EXACT_CAP,
-                    )
-                    _oversized_cap_warned = True
-                members = np.arange(s + 1, s + g)
-                a_i.append(np.full(g - 1, s))
-                b_i.append(members)
-                star_f.append(np.ones(g - 1, dtype=bool))
-        if not a_i:
-            return _EMPTY_PAIRS
-        ai, bi = np.concatenate(a_i), np.concatenate(b_i)
-        stars = np.concatenate(star_f)
         a, b = ids[ai], ids[bi]
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         return pa.table(
@@ -1010,18 +966,12 @@ def make_cross_pair_generator(n_parts: int = 64, bucket_pair_cap: int = 1 << 20)
         band = group["band"].to_numpy(zero_copy_only=False)
         key = group["key"].to_numpy(zero_copy_only=False)
         is_left = group["left"].to_numpy(zero_copy_only=False)
-        n = len(ids)
-        if n == 0:
-            return _EMPTY_PAIRS
         # lefts first inside each run (~is_left sorts False<True)
         order = np.lexsort((ids, ~is_left, key, band))
         ids, band, key, is_left = (
             ids[order], band[order], key[order], is_left[order]
         )
-        new_run = np.ones(n, dtype=bool)
-        new_run[1:] = (band[1:] != band[:-1]) | (key[1:] != key[:-1])
-        starts = np.flatnonzero(new_run)
-        lengths = np.diff(np.append(starts, n))
+        starts, lengths = runs(band, key)
         # lefts per run: prefix sums over the sorted flag
         cl = np.concatenate([[0], np.cumsum(is_left)])
         n_left = cl[starts + lengths] - cl[starts]
@@ -1032,7 +982,7 @@ def make_cross_pair_generator(n_parts: int = 64, bucket_pair_cap: int = 1 << 20)
         for c in np.unique(combo[both]):  # vectorized per (L, R) shape
             gl = int(c >> np.int64(32))
             gr = int(c & ((np.int64(1) << np.int64(32)) - 1))
-            runs = starts[both & (combo == c)]
+            run_starts = starts[both & (combo == c)]
             if gl * gr > bucket_pair_cap:
                 global _cross_cap_warned
                 if not _cross_cap_warned:
@@ -1052,8 +1002,8 @@ def make_cross_pair_generator(n_parts: int = 64, bucket_pair_cap: int = 1 << 20)
             lin = np.arange(m, dtype=np.int64)
             i = lin // gr
             j = lin % gr
-            a_i.append((runs[:, None] + i[None, :]).ravel())
-            b_i.append((runs[:, None] + gl + j[None, :]).ravel())
+            a_i.append((run_starts[:, None] + i[None, :]).ravel())
+            b_i.append((run_starts[:, None] + gl + j[None, :]).ravel())
         if not a_i:
             return _EMPTY_PAIRS
         a = ids[np.concatenate(a_i)]

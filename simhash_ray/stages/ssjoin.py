@@ -61,6 +61,7 @@ from ray.data.aggregate import Sum
 from ..functions.hashing import part_of_ints
 from ..functions.tokenize import tokens_flat
 from .base import map_groups_typed
+from .buckets import all_pairs, runs
 
 _EMPTY_DT = pa.table(
     {
@@ -308,29 +309,18 @@ def prefix_jaccard_pairs(
         n = group["n"].to_numpy(zero_copy_only=False)
         order = np.lexsort((doc, th))
         th, doc, n = th[order], doc[order], n[order]
-        new_run = np.ones(len(th), dtype=bool)
-        new_run[1:] = th[1:] != th[:-1]
-        starts = np.flatnonzero(new_run)
-        lengths = np.diff(np.append(starts, len(th)))
-        a_i, b_i = [], []
-        for g in np.unique(lengths[lengths >= 2]):
-            g = int(g)
-            if g > run_cap:
-                raise ValueError(
-                    f"prefix_jaccard_pairs: a prefix-token bucket has {g} "
-                    f"members (> run_cap={run_cap}) — exact pair "
-                    "enumeration over an identical-set class this large is "
-                    "quadratic by nature; collapse exact duplicates first "
-                    "(stages/collapse) or raise run_cap knowingly"
-                )
-            runs = starts[lengths == g]
-            i, j = np.triu_indices(g, 1)
-            a_i.append((runs[:, None] + i[None, :]).ravel())
-            b_i.append((runs[:, None] + j[None, :]).ravel())
-        if not a_i:
+        starts, lengths = runs(th)
+        if len(lengths) and lengths.max() > run_cap:
+            raise ValueError(
+                f"prefix_jaccard_pairs: a prefix-token bucket has "
+                f"{lengths.max()} members (> run_cap={run_cap}) — exact "
+                "pair enumeration over an identical-set class this large "
+                "is quadratic by nature; collapse exact duplicates first "
+                "(stages/collapse) or raise run_cap knowingly"
+            )
+        ai, bi = all_pairs(starts, lengths)
+        if len(ai) == 0:
             return _EMPTY_PAIRS
-        ai = np.concatenate(a_i)
-        bi = np.concatenate(b_i)
         na, nb = n[ai], n[bi]
         # size filter: J ≥ t forces num·max(|x|,|y|) ≤ den·min(|x|,|y|)
         ok = theta_num * np.maximum(na, nb) <= theta_den * np.minimum(na, nb)

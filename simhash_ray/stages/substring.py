@@ -36,6 +36,7 @@ import ray.data as rd
 
 from ..functions.hashing import part_of_ints
 from ..functions.tokenize import tokens_flat
+from .buckets import all_pairs, runs
 
 
 # window hashing rides the vectorized flat shingle machinery (one
@@ -44,6 +45,29 @@ from ..functions.tokenize import tokens_flat
 # SQL oracle's `i <= len(t) - 7` bound.  Window identity is hash
 # identity — same probabilistic-collision stance as before, now
 # without building per-window Python strings.
+
+
+def _df_guarded_pairs(
+    group: pa.Table, max_df: int, op: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """(a < b) doc pairs sharing a window, over one window-hash
+    partition of (doc, win) rows.  Boilerplate guard: a window's run
+    length IS its global df (the groupby partitions by window hash), so
+    windows with df > ``max_df`` are dropped exactly here — counted and
+    logged, never silent."""
+    doc = group["doc"].to_numpy(zero_copy_only=False)
+    win = group["win"].to_numpy(zero_copy_only=False)
+    order = np.lexsort((doc, win))
+    doc, win = doc[order], win[order]
+    starts, lengths = runs(win)
+    keep = lengths <= max_df
+    if not keep.all():
+        logging.getLogger(__name__).warning(
+            "%s: excluded %d boilerplate windows with df > %d from pair "
+            "counting", op, int((~keep).sum()), max_df,
+        )
+    ai, bi = all_pairs(starts[keep], lengths[keep])
+    return doc[ai], doc[bi]  # doc-sorted inside each run
 
 
 def shared_substring_pairs(
@@ -84,43 +108,7 @@ def shared_substring_pairs(
         )
 
     def window_pairs(group: pa.Table) -> pa.Table:
-        doc = group["doc"].to_numpy(zero_copy_only=False)
-        win = group["win"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((doc, win))
-        doc, win = doc[order], win[order]
-        new_run = np.ones(len(win), dtype=bool)
-        new_run[1:] = win[1:] != win[:-1]
-        starts = np.flatnonzero(new_run)
-        lengths = np.diff(np.append(starts, len(win)))
-        a_i, b_i = [], []
-        # boilerplate guard: a window's run length IS its global df
-        # (the groupby partitions by window hash), so the df filter is
-        # exact here; drops are counted and logged, never silent
-        keep_sel = (lengths >= 2) & (lengths <= max_df)
-        n_boiler = int(((lengths > max_df)).sum())
-        if n_boiler:
-            logging.getLogger(__name__).warning(
-                "shared_substring_pairs: excluded %d boilerplate windows "
-                "with df > %d from pair counting",
-                n_boiler,
-                max_df,
-            )
-        for g in np.unique(lengths[keep_sel]):
-            runs = starts[keep_sel & (lengths == g)]
-            i, j = np.triu_indices(int(g), 1)
-            a_i.append((runs[:, None] + i[None, :]).ravel())
-            b_i.append((runs[:, None] + j[None, :]).ravel())
-        if not a_i:
-            return pa.table(
-                {
-                    "a": pa.array([], type=pa.int64()),
-                    "b": pa.array([], type=pa.int64()),
-                    "part": pa.array([], type=pa.int32()),
-                }
-            )
-        ai, bi = np.concatenate(a_i), np.concatenate(b_i)
-        a, b = doc[ai], doc[bi]
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        lo, hi = _df_guarded_pairs(group, max_df, "shared_substring_pairs")
         return pa.table(
             {
                 "a": pa.array(lo, type=pa.int64()),
@@ -676,6 +664,55 @@ def max_common_substring_chars(a: str, b: str) -> int:
     return int(lcp[1:][cross].max())
 
 
+_CHAR_WINDOW_BASE = 1099511628211  # FNV-1a 64-bit prime
+
+
+def _char_window_hashes(
+    texts: pa.ChunkedArray | pa.Array, min_len: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct (row, hash) pairs over every ``min_len``-code-point
+    window of a string column, hash = Σ_j cp[i+j]·B^j mod 2^64.
+
+    One flat pass over the batch's concatenated code points: the
+    polynomial accumulates over the ``min_len`` offsets and windows
+    crossing a row boundary are masked out (``_window_occurrences``'s
+    scheme), so memory stays O(text) — ~30 B per character — instead of
+    an O(text × min_len) window matrix.  Null and short rows yield
+    nothing.  Returns (rows, hashes), sorted by hash."""
+    strs = ["" if t is None else t for t in texts.to_pylist()]
+    lens = np.fromiter(map(len, strs), dtype=np.int64, count=len(strs))
+    cp = np.frombuffer("".join(strs).encode("utf-32-le"), dtype=np.uint32)
+    del strs
+    m = len(cp) - min_len + 1
+    if m <= 0:
+        return np.empty(0, np.int64), np.empty(0, np.uint64)
+    row_of = np.repeat(np.arange(len(lens), dtype=np.int32), lens)
+    valid = row_of[:m] == row_of[min_len - 1 :]
+    # powers B^j wrap mod 2^64 in Python ints: no numpy overflow warning
+    pw = np.array(
+        [pow(_CHAR_WINDOW_BASE, j, 1 << 64) for j in range(min_len)],
+        dtype=np.uint64,
+    )
+    h = np.zeros(m, dtype=np.uint64)
+    term = np.empty(m, dtype=np.uint64)
+    for j in range(min_len):
+        np.multiply(cp[j : j + m], pw[j], out=term)
+        h += term
+    del cp, term
+    h = h[valid]
+    rows = row_of[:m][valid]
+    del row_of, valid
+    # a stable sort by hash keeps rows ascending within equal hashes,
+    # so equal (row, hash) pairs end up adjacent
+    order = np.argsort(h, kind="stable")
+    h = h[order]
+    rows = rows[order]
+    del order
+    keep = np.ones(len(h), dtype=bool)
+    keep[1:] = (h[1:] != h[:-1]) | (rows[1:] != rows[:-1])
+    return rows[keep].astype(np.int64), h[keep]
+
+
 def sa_max_span_pairs(
     docs: rd.Dataset,
     min_len: int = 24,
@@ -698,12 +735,6 @@ def sa_max_span_pairs(
     verifies and measures.  Candidates ≪ corpus by construction."""
     from .base import map_groups_typed
 
-    B = np.uint64(1099511628211)
-    pw = np.empty(min_len, dtype=np.uint64)
-    pw[0] = 1
-    for i in range(1, min_len):
-        pw[i] = pw[i - 1] * B
-
     def explode(batch: pa.Table) -> pa.Table:
         if not pa.types.is_integer(batch[id_col].type):
             raise ValueError(
@@ -715,37 +746,13 @@ def sa_max_span_pairs(
                 "sa_max_span_pairs: ids must fit uint32 for the pair "
                 f"packing (got range [{ids.min()}, {ids.max()}])"
             )
-        out_doc, out_h = [], []
-        for rid, t in zip(ids, batch[text_col].to_pylist()):
-            if t is None:
-                continue
-            cp = np.frombuffer(t.encode("utf-32-le"), dtype=np.uint32)
-            if len(cp) < min_len:
-                continue
-            w = np.lib.stride_tricks.sliding_window_view(cp, min_len)
-            h = (w.astype(np.uint64) * pw[None, :]).sum(
-                axis=1, dtype=np.uint64
-            )
-            h = np.unique(h)
-            out_doc.append(np.full(len(h), rid, dtype=np.int64))
-            out_h.append(h.view(np.int64))
-        if not out_doc:
-            return pa.table(
-                {
-                    "doc": pa.array([], type=pa.int64()),
-                    "win": pa.array([], type=pa.int64()),
-                    "part": pa.array([], type=pa.int32()),
-                }
-            )
-        doc = np.concatenate(out_doc)
-        win = np.concatenate(out_h)
+        rows, win = _char_window_hashes(batch[text_col], min_len)
+        win = win.view(np.int64)
         return pa.table(
             {
-                "doc": pa.array(doc, type=pa.int64()),
+                "doc": pa.array(ids[rows], type=pa.int64()),
                 "win": pa.array(win, type=pa.int64()),
-                "part": pa.array(
-                    part_of_ints(n_parts, win), type=pa.int32()
-                ),
+                "part": pa.array(part_of_ints(n_parts, win), type=pa.int32()),
             }
         )
 
@@ -758,32 +765,7 @@ def sa_max_span_pairs(
     )
 
     def window_pairs(group: pa.Table) -> pa.Table:
-        doc = group["doc"].to_numpy(zero_copy_only=False)
-        win = group["win"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((doc, win))
-        doc, win = doc[order], win[order]
-        new_run = np.ones(len(win), dtype=bool)
-        new_run[1:] = win[1:] != win[:-1]
-        starts = np.flatnonzero(new_run)
-        lengths = np.diff(np.append(starts, len(win)))
-        keep_sel = (lengths >= 2) & (lengths <= max_df)
-        n_boiler = int((lengths > max_df).sum())
-        if n_boiler:
-            logging.getLogger(__name__).warning(
-                "sa_max_span_pairs: excluded %d boilerplate windows with "
-                "df > %d", n_boiler, max_df,
-            )
-        a_i, b_i = [], []
-        for g in np.unique(lengths[keep_sel]):
-            runs = starts[keep_sel & (lengths == g)]
-            i, j = np.triu_indices(int(g), 1)
-            a_i.append((runs[:, None] + i[None, :]).ravel())
-            b_i.append((runs[:, None] + j[None, :]).ravel())
-        if not a_i:
-            return _PAIRS_EMPTY
-        ai = doc[np.concatenate(a_i)]
-        bi = doc[np.concatenate(b_i)]
-        lo, hi = np.minimum(ai, bi), np.maximum(ai, bi)
+        lo, hi = _df_guarded_pairs(group, max_df, "sa_max_span_pairs")
         packed = np.unique(
             lo.astype(np.uint64) << np.uint64(32) | hi.astype(np.uint64)
         )
@@ -793,7 +775,7 @@ def sa_max_span_pairs(
             {
                 "a": pa.array(a, type=pa.int64()),
                 "b": pa.array(b, type=pa.int64()),
-                "part": pa.array(part_of_ints(64, a, b), type=pa.int32()),
+                "part": pa.array(part_of_ints(n_parts, a, b), type=pa.int32()),
             }
         )
 

@@ -11,7 +11,7 @@ import ray.data as rd
 from simhash_ray.config import DEFAULT_CONFIG
 from simhash_ray.fixtures import FixtureSpec, generate_fixture
 from simhash_ray.pipelines.dedup_images import (
-    cluster_broadcast,
+    _direct_regime_cluster,
     dup_edges,
     signatures,
 )
@@ -27,7 +27,30 @@ def test_broadcast_and_distributed_edges_agree():
     dist = dup_edges(collapsed, DEFAULT_CONFIG, 16).to_pandas()
     dist_pairs = set(map(tuple, dist[["a", "b"]].itertuples(index=False)))
 
-    _, edge_df = cluster_broadcast(collapsed, DEFAULT_CONFIG)
+    # the direct regime's production tail over the collapsed rep rows
+    from simhash_ray.stages.lsh import IMAGE_SPACE, TEXT_SPACE
+
+    cfg = DEFAULT_CONFIG
+    reps = (
+        collapsed.filter(expr="is_rep == True")
+        .select_columns(["image_id", "simhash", "phash"])
+        .to_pandas()
+    )
+    edge_df, _, _ = _direct_regime_cluster(
+        reps["image_id"].to_numpy(dtype=object),
+        {
+            TEXT_SPACE: reps["simhash"].to_numpy().view(np.uint64),
+            IMAGE_SPACE: reps["phash"].to_numpy().view(np.uint64),
+        },
+        [(TEXT_SPACE, cfg.text_lsh), (IMAGE_SPACE, cfg.image_lsh)],
+        taus={
+            TEXT_SPACE: cfg.text_lsh.hamming_tau,
+            IMAGE_SPACE: cfg.image_lsh.hamming_tau,
+        },
+        pair_full_threshold=min(
+            cfg.text_lsh.pair_full_threshold, cfg.image_lsh.pair_full_threshold
+        ),
+    )
     bc_pairs = set(map(tuple, edge_df[["a", "b"]].itertuples(index=False)))
 
     assert dist_pairs == bc_pairs

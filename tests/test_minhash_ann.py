@@ -182,9 +182,10 @@ def test_minhash_beyond_cap_star_connectivity(monkeypatch):
     """Above OVERSIZED_EXACT_CAP the generator degrades to the min-id
     star (bounded work, loud warning) — exercised in-process with a
     patched cap so the branch is testable without 4097 docs."""
+    import simhash_ray.stages.buckets as K
     import simhash_ray.stages.minhash as M
 
-    monkeypatch.setattr(M, "OVERSIZED_EXACT_CAP", 10)
+    monkeypatch.setattr(K, "OVERSIZED_EXACT_CAP", 10)
     n = 40
     group = pa.table(
         {

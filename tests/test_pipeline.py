@@ -271,3 +271,45 @@ def test_dedup_images_precomputed_sigs_identical():
         broadcast_sig_limit=0,
     )
     pd.testing.assert_frame_equal(canon(base), canon(pre_dist))
+
+
+def test_direct_regime_completes_on_one_cpu_session():
+    """A 1-CPU Ray session must finish the direct regime: its broadcast
+    band tasks once asked for 2 CPUs, which such a session can never
+    grant, so the run waited forever.  Own session in a subprocess."""
+    import os
+    import signal
+    import subprocess
+    import sys
+    import textwrap
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = textwrap.dedent(
+        """
+        import ray, ray.data as rd
+        ray.init(address="local", num_cpus=1, include_dashboard=False,
+                 logging_level="ERROR", object_store_memory=200 << 20)
+        from simhash_ray.fixtures import FixtureSpec, generate_fixture
+        from simhash_ray.pipelines.dedup_images import dedup_images
+        fx = generate_fixture(FixtureSpec(n_rows=500, seed=5))
+        res = dedup_images(rd.from_arrow(fx["images"]))
+        print("ROWS", res.assignment.count(), res.n_clusters_with_dups)
+        ray.shutdown()
+        """
+    )
+    env = dict(os.environ)
+    env.pop("RAY_ADDRESS", None)
+    env["PYTHONPATH"] = root
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code], cwd=root, env=env, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=240)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the session's raylet/gcs too
+        proc.communicate()
+        pytest.fail("dedup_images did not finish on a 1-CPU Ray session")
+    assert proc.returncode == 0, err[-2000:]
+    rows, n_clusters = out.strip().splitlines()[-1].split()[1:]
+    assert int(rows) == 500 and int(n_clusters) >= 1

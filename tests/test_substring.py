@@ -386,3 +386,60 @@ def test_sa_max_span_pairs_join_path_matches_broadcast():
     )
     assert key(broad) == key(joinp)
     assert len(broad) >= 6 * 5 // 2  # the planted-span clique
+
+
+def test_sa_max_span_pairs_no_overflow_warning():
+    """The window-hash powers B^j must wrap mod 2^64 without numpy's
+    scalar-overflow RuntimeWarning (raised on every call before)."""
+    import warnings
+
+    from simhash_ray.stages.substring import sa_max_span_pairs
+
+    span = "a long enough shared span of text that exceeds the window"
+    docs = pd.DataFrame(
+        {"doc_id": np.arange(2, dtype=np.int64), "text": ["x " + span, span]}
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = sa_max_span_pairs(
+            rd.from_pandas(docs), min_len=24, n_parts=4
+        ).to_pandas()
+    assert list(zip(out["a"], out["b"])) == [(0, 1)]
+
+
+def test_char_window_hashes_values_and_memory_bound():
+    """The flat rolling hash equals Σ cp[i+j]·B^j mod 2^64 per window
+    (distinct per row, cross-row windows excluded), and a 2M-character
+    document — ASCII or not — peaks below 40 B per character, not the
+    O(text × window) of a dense window matrix."""
+    import tracemalloc
+
+    import pyarrow as pa
+
+    from simhash_ray.stages.substring import _char_window_hashes
+
+    w = 5
+    texts = ["abcabcabcab", None, "abc", "", "héllo 日本語 héllo 日本語"]
+    rows, h = _char_window_hashes(pa.array(texts), w)
+    want = set()
+    for r, t in enumerate(texts):
+        cps = [ord(c) for c in (t or "")]
+        for i in range(len(cps) - w + 1):
+            want.add(
+                (r, sum(c * 1099511628211**j for j, c in enumerate(cps[i : i + w]))
+                 % (1 << 64))
+            )
+    got = list(zip(rows.tolist(), h.tolist()))
+    assert len(got) == len(set(got)) and set(got) == want
+
+    rng = np.random.default_rng(0)
+    n = 2_000_000
+    for alphabet in ("abcdefgh", "aé日ß€\U0001f600"):
+        text = "".join(rng.choice(list(alphabet), size=n))
+        col = pa.array([text])
+        tracemalloc.start()
+        rows, h = _char_window_hashes(col, 24)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert len(h) > n // 2  # random text: mostly distinct windows
+        assert peak / n < 40, (alphabet, peak / n)

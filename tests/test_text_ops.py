@@ -91,9 +91,9 @@ def test_pair_generator_oversized_exact_then_star(monkeypatch):
     over = make_pair_generator(pair_full_threshold=8)(group)
     assert over.num_rows == n * (n - 1) // 2  # exact triu, ≤ cap
     assert all(over["star"].to_pylist())
-    import simhash_ray.stages.lsh as L
+    import simhash_ray.stages.buckets as K
 
-    monkeypatch.setattr(L, "OVERSIZED_EXACT_CAP", 10)
+    monkeypatch.setattr(K, "OVERSIZED_EXACT_CAP", 10)
     star = make_pair_generator(pair_full_threshold=8)(group)
     assert star.num_rows == n - 1
     assert all(star["star"].to_pylist())

@@ -187,14 +187,14 @@ def test_oversized_identical_run_kernel_exact_and_capped():
     emits all C(r,2) pairs (star=False) under the cap and the
     connectivity chain (star=True) past it; distinct-sig heads keep
     their triu."""
-    from simhash_ray.stages.lsh import _oversized_bucket_pairs
+    from simhash_ray.stages.buckets import oversized_bucket_pairs
 
     r = 5000  # past the 4096 full-pair threshold regime
     sig = np.concatenate(
         [np.full(r, 7, dtype=np.uint64), np.array([9, 11], dtype=np.uint64)]
     )
     order = np.arange(r + 2, dtype=np.int64)
-    a, b, star = _oversized_bucket_pairs(order, sig, exact_identical_cap=1 << 24)
+    a, b, star = oversized_bucket_pairs(order, sig, exact_identical_cap=1 << 24)
     n_run = r * (r - 1) // 2
     # run pairs exact + head triu over the 3 distinct sigs (7, 9, 11)
     assert len(a) == n_run + 3
@@ -205,12 +205,12 @@ def test_oversized_identical_run_kernel_exact_and_capped():
     assert (a < b).all()
 
     # cap exhausted -> chain fallback for the run (r-1 edges), loud-logged
-    a2, b2, star2 = _oversized_bucket_pairs(order, sig, exact_identical_cap=10)
+    a2, b2, star2 = oversized_bucket_pairs(order, sig, exact_identical_cap=10)
     assert len(a2) == (r - 1) + 3
     assert star2.all()
 
     # cap=0 (clustering default) keeps the historic chain behavior
-    a3, b3, star3 = _oversized_bucket_pairs(order, sig)
+    a3, b3, star3 = oversized_bucket_pairs(order, sig)
     assert len(a3) == (r - 1) + 3 and star3.all()
     assert np.array_equal(np.sort(a2), np.sort(a3))
 
@@ -243,16 +243,16 @@ def test_identical_runs_emit_only_in_band0():
     so the exact enumeration must come from band 0 only — bands > 0
     contribute nothing for identical runs (the n_bands× duplication
     blew up the broadcast driver concat)."""
-    from simhash_ray.stages.lsh import _oversized_bucket_pairs
+    from simhash_ray.stages.buckets import oversized_bucket_pairs
 
     sig = np.concatenate(
         [np.full(50, 7, dtype=np.uint64), np.array([9, 11], dtype=np.uint64)]
     )
     order = np.arange(52, dtype=np.int64)
-    a0, b0, star0 = _oversized_bucket_pairs(
+    a0, b0, star0 = oversized_bucket_pairs(
         order, sig, exact_identical_cap=1 << 20, emit_identical=True
     )
-    aN, bN, starN = _oversized_bucket_pairs(
+    aN, bN, starN = oversized_bucket_pairs(
         order, sig, exact_identical_cap=1 << 20, emit_identical=False
     )
     n_run = 50 * 49 // 2
