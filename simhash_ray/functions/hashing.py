@@ -22,6 +22,15 @@ def part_of_strings(values: np.ndarray, n_parts: int) -> np.ndarray:
     return (hash_strings(values) % np.uint64(n_parts)).astype(np.int32)
 
 
+def part_of_ids(values: np.ndarray, n_parts: int) -> np.ndarray:
+    """Partition of native id values: integer arrays hash as ints,
+    anything else (string ids) as strings."""
+    values = np.asarray(values)
+    if values.dtype.kind in "iu":
+        return part_of_ints(n_parts, values)
+    return part_of_strings(values, n_parts)
+
+
 def mix_ints(*cols: np.ndarray) -> np.ndarray:
     """Combine int64/uint64 columns into one u64 key (order-sensitive)."""
     acc = np.zeros(len(cols[0]), dtype=np.uint64)

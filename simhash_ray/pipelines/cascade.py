@@ -24,8 +24,10 @@ module only adds the tier composition.
 Shuffle inventory (scale notes):
   1. exact tier        — sha256 in place; (id, 32 B digest) rows shuffle
                          once; image bytes move ZERO times.
-  2. per sig tier      — the flagship's collapse + band groupby + CC
-                         rounds, but over the PRUNED survivor set.
+  2. per sig tier      — the dedup core (dedup_images.dedup_signatures)
+                         over the PRUNED survivor set: shuffle-free
+                         broadcast banding up to BROADCAST_SIG_LIMIT
+                         rows, collapse + band groupby above it.
   3. survivor filter   — broadcast of the dropped-id set when small
                          (the typical case: dups ≪ corpus), hash join
                          on survivor ids otherwise.
@@ -48,12 +50,13 @@ import ray
 import ray.data as rd
 
 from ..config import DEFAULT_CONFIG, DedupConfig
-from ..stages.collapse import collapse_exact, dedup_exact_bytes
+from ..stages.cluster import lookup_exact
+from ..stages.collapse import dedup_exact_bytes
 from ..stages.lsh import IMAGE_SPACE, TEXT_SPACE
 from .dedup_images import (
     BROADCAST_LIMIT,
-    attach_clusters,
-    dup_edges,
+    BROADCAST_SIG_LIMIT,
+    dedup_signatures,
     signatures,
 )
 
@@ -84,19 +87,6 @@ def _n_join() -> int:
     # chained-join sessions starve aggregator actors above CPU//4
     # partitions (measured; see BASELINE.md join-deadlock note)
     return int(min(8, max(2, ray.cluster_resources().get("CPU", 8) // 4)))
-
-
-def _indexer_lookup(values: np.ndarray, lut: pd.Series, default: np.ndarray):
-    """Exact hash-based lookup: ``lut[values]`` with ``default`` for
-    misses.  ``Index.get_indexer`` keeps int64 ids exact (a pandas
-    ``.map`` would widen missing hits to float64 and lose precision
-    above 2**53) and works for string ids identically."""
-    out = np.asarray(default, dtype=object).copy()
-    if len(lut):
-        pos = lut.index.get_indexer(pd.Index(values))
-        hit = pos >= 0
-        out[hit] = lut.to_numpy()[pos[hit]]
-    return out
 
 
 def _drop_rows(
@@ -154,7 +144,7 @@ def _remap_keeper(
 
         def remap(batch: pa.Table) -> pa.Table:
             keep = batch["keeper_id"].to_numpy(zero_copy_only=False)
-            resolved = _indexer_lookup(keep, ray.get(map_ref), keep)
+            resolved = lookup_exact(keep, ray.get(map_ref), keep)
             return pa.table(
                 {
                     id_col: batch[id_col],
@@ -221,8 +211,8 @@ def _attach_final(
 
         def attach(batch: pa.Table) -> pa.Table:
             vals = batch[id_col].to_numpy(zero_copy_only=False)
-            cluster = _indexer_lookup(vals, ray.get(keep_ref), vals)
-            tier = _indexer_lookup(
+            cluster = lookup_exact(vals, ray.get(keep_ref), vals)
+            tier = lookup_exact(
                 vals, ray.get(tier_ref), np.full(len(vals), "survivor", object)
             )
             return pa.table(
@@ -286,6 +276,9 @@ def dedup_images_cascade(
     semantically identical (oracle staging uses this).
     """
     limit = BROADCAST_LIMIT if broadcast_limit is None else broadcast_limit
+    # sig tiers pick the core's regime by size like every pipeline;
+    # broadcast_limit=0 forces every join path AND the distributed regime
+    sig_limit = BROADCAST_SIG_LIMIT if broadcast_limit is None else broadcast_limit
     unknown = [t for t in tiers if t != "exact" and t not in SIG_TIERS]
     if unknown:
         raise ValueError(f"unknown cascade tiers {unknown}; valid: "
@@ -314,8 +307,7 @@ def dedup_images_cascade(
             )
         else:
             space, col, cfg_attr = SIG_TIERS[tier]
-            first_sig_tier = sigs is None
-            if first_sig_tier:
+            if sigs is None:  # first sig tier
                 if precomputed_sigs is not None:
                     sigs = precomputed_sigs
                     # restrict to the alive set (ids dropped by earlier
@@ -326,38 +318,10 @@ def dedup_images_cascade(
                     sigs = signatures(narrow, cfg, concurrency=concurrency)
                 sigs = sigs.materialize()
                 sigs_out = sigs
-            if first_sig_tier:
-                collapsed = collapse_exact(sigs, n_parts).materialize()
-            else:
-                # after any sig tier, survivors have pairwise-distinct
-                # (simhash, phash): an identical pair is Hamming 0 in
-                # the previous tier's space, so at most one member of
-                # each identical-sig group is still alive — the
-                # collapse groupby shuffle would be a no-op; build its
-                # output shape directly (everyone their own rep)
-                collapsed = sigs.map_batches(
-                    lambda t: pa.table(
-                        {
-                            "image_id": t["image_id"],
-                            "rep_id": t["image_id"].cast(pa.string()),
-                            "simhash": t["simhash"],
-                            "phash": t["phash"],
-                            "is_rep": pa.array([True] * len(t)),
-                        }
-                    ),
-                    batch_format="pyarrow",
-                ).materialize()
-            # materialize: attach_clusters consumes the edge table twice
-            # (count + collect/CC) — every other caller pins it first
-            edges = dup_edges(
-                collapsed, cfg, n_parts,
-                spaces=[(space, col, getattr(cfg, cfg_attr))],
-            ).materialize()
-            assignment, _, _ = attach_clusters(
-                collapsed, edges, cfg, n_parts,
-                broadcast_limit=limit, compute_n_clusters=False,
-            )
-            dropped = assignment.filter(
+            dropped = dedup_signatures(
+                sigs, [(space, col, getattr(cfg, cfg_attr))], "image_id",
+                sig_limit, n_parts, sigs.count(), cfg=cfg,
+            ).assignment.filter(
                 expr="is_representative == False"
             ).map_batches(
                 lambda t: t.select(["image_id", "cluster_id"]).rename_columns(

@@ -3,23 +3,37 @@ text-only corpus (the reference's own domain — its encoder consumes
 document strings, /root/reference/src/Htm/SimHashDocumentEncoder.hsc).
 
 Same architecture as pipelines/dedup_images with a single (text)
-signature space: encode (actor pool) → Hamming-ball LSH banding →
-verified edges → union-find → (doc_id, cluster_id, is_representative).
-Shares every stage implementation; only the space wiring differs.
+signature space: encode (actor pool) → the dedup core
+(dedup_images.dedup_signatures: LSH banding → verified edges →
+union-find) → (doc_id, cluster_id, is_representative).  Only the
+encode step and the space wiring are this module's own; integer and
+string doc ids both travel natively.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
-import pyarrow as pa
 import ray.data as rd
 
 from ..config import DEFAULT_CONFIG, DedupConfig
 from ..stages.encode import encode_signatures
-from ..stages.lsh import TEXT_SPACE, broadcast_candidate_edges
-from ..stages.cluster import unionfind_driver
-from .dedup_images import BROADCAST_SIG_LIMIT
+from ..stages.lsh import TEXT_SPACE
+from .dedup_images import BROADCAST_SIG_LIMIT, choose_n_parts, dedup_signatures
+
+
+def doc_signatures(
+    docs: rd.Dataset,
+    cfg: DedupConfig = DEFAULT_CONFIG,
+    text_col: str = "text",
+    id_col: str = "doc_id",
+    concurrency=None,
+) -> rd.Dataset:
+    """The document pipelines' encode step: (id, text) → (id, simhash)."""
+    return encode_signatures(
+        docs.select_columns([id_col, text_col]),
+        cfg.simhash,
+        text_col=text_col,
+        concurrency=concurrency,
+    ).select_columns([id_col, "simhash"])
 
 
 def dedup_documents(
@@ -33,21 +47,15 @@ def dedup_documents(
     """(doc_id, cluster_id, is_representative) — near-dup clusters of a
     document table at the pinned SimHash/LSH config.
 
-    Two regimes, equivalent outputs (like the image flagship): below
-    ``broadcast_sig_limit`` the signature table is collected once and
-    banded via broadcast Ray tasks; above it the fully-distributed
-    stages run (collapse → band-bucket groupby → distributed pair-gen
-    → attach) with a text-only signature space — force with
+    Two regimes, equivalent outputs (the core's, like the image
+    flagship): below ``broadcast_sig_limit`` the signature table is
+    collected once and banded via broadcast Ray tasks; above it the
+    fully-distributed stages run — force with
     ``broadcast_sig_limit=0`` (equivalence-tested)."""
-    sigs = encode_signatures(
-        docs.select_columns([id_col, text_col]),
-        cfg.simhash,
-        text_col=text_col,
-        concurrency=concurrency,
-    ).select_columns([id_col, "simhash"])
+    sigs = doc_signatures(docs, cfg, text_col, id_col, concurrency)
     # materialize before counting: count() would otherwise execute the
     # (dominant) encode stage once for the count and again for the
-    # downstream consumer (to_pandas / collapse_exact)
+    # downstream consumer (the dedup core)
     return dedup_documents_from_sigs(
         sigs.materialize(), cfg, id_col=id_col,
         broadcast_sig_limit=broadcast_sig_limit,
@@ -61,120 +69,22 @@ def dedup_documents_from_sigs(
     broadcast_sig_limit: int | None = None,
 ) -> rd.Dataset:
     """Everything after the encode stage of :func:`dedup_documents` —
-    callers that already hold the (id, simhash) table (e.g. the
+    the dedup core over the text space, ids in their own Arrow type.
+    Callers that already hold the (id, simhash) table (e.g. the
     oracle-staging query) enter here so the encode runs once."""
     limit = BROADCAST_SIG_LIMIT if broadcast_sig_limit is None else broadcast_sig_limit
     n = sigs.count()
-    if n > limit:
-        return _dedup_documents_distributed(sigs, cfg, id_col, n)
-    sig_df = sigs.to_pandas().sort_values(id_col, ignore_index=True)
-    ids = sig_df[id_col].to_numpy()
-    ai, bi = broadcast_candidate_edges(
-        {TEXT_SPACE: sig_df["simhash"].to_numpy().view(np.uint64)},
-        [(TEXT_SPACE, cfg.text_lsh)],
-        taus={TEXT_SPACE: cfg.text_lsh.hamming_tau},
-        pair_full_threshold=cfg.text_lsh.pair_full_threshold,
-    )
-    edge_df = pd.DataFrame({"a": ids[ai], "b": ids[bi]}).drop_duplicates()
-    label_df = unionfind_driver(edge_df)
-    if np.issubdtype(ids.dtype, np.integer):
-        from ..stages.cluster import attach_int_labels
-
-        cluster = attach_int_labels(ids, label_df)
-    else:  # string/object ids: map stays in object space, no float trip
-        lm = pd.Series(
-            label_df["label"].to_numpy(), index=label_df["node"].to_numpy()
-        )
-        cluster = (
-            pd.Series(ids).map(lm).fillna(pd.Series(ids)).to_numpy().astype(ids.dtype)
-        )
-    out = pa.table(
-        {
-            id_col: pa.array(ids),
-            "cluster_id": pa.array(cluster),
-            "is_representative": pa.array(ids == cluster),
-        }
-    )
-    return rd.from_arrow(out)
-
-
-_WIRE_PAD = 20  # zero-pad width: lexicographic order == numeric order
-
-
-def _dedup_documents_distributed(
-    sigs: rd.Dataset, cfg: DedupConfig, id_col: str, n_rows: int
-) -> rd.Dataset:
-    """Cluster-scale regime: reuse the image flagship's distributed
-    stages (exact-sig collapse → band-bucket groupby → distributed
-    pair-gen → attach) with a TEXT-only signature space.
-
-    Integer doc ids travel as zero-padded strings through the
-    string-keyed stages so lexicographic min == numeric min (both
-    regimes elect identical representatives — equivalence-tested)."""
-    import pyarrow.compute as pc
-
-    from ..stages.collapse import collapse_exact
-    from .dedup_images import attach_clusters, choose_n_parts, dup_edges
-
-    schema = sigs.schema()  # ray Schema wrapper: .names / .types
-    int_ids = pa.types.is_integer(dict(zip(schema.names, schema.types))[id_col])
-
-    def to_wire(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col]
-        if int_ids:
-            ids_np = ids.to_numpy(zero_copy_only=False)
-            if ids_np.size and ids_np.min() < 0:
-                # '-0005' < '-0010' lexicographically: zero-padding a
-                # negative id breaks lexicographic==numeric order and
-                # the two regimes would elect different representatives
-                raise ValueError(
-                    f"{id_col} must be non-negative for the distributed "
-                    "regime's string wire format (zero-padded ids); "
-                    f"got min={ids_np.min()}"
-                )
-            wire = np.char.zfill(ids_np.astype("U"), _WIRE_PAD)
-            arr = pa.array(wire, type=pa.string())
-        else:
-            arr = ids.cast(pa.string())
-        return pa.table(
-            {
-                "image_id": arr,
-                "simhash": batch["simhash"],
-                # single-space run: collapse keys on (simhash, phash),
-                # a constant phash makes that a collapse on simhash
-                "phash": pa.array(
-                    np.zeros(batch.num_rows, dtype=np.int64), type=pa.int64()
-                ),
-            }
-        )
-
-    n_parts = choose_n_parts(n_rows)
-    wire = sigs.map_batches(to_wire, batch_format="pyarrow")
-    collapsed = collapse_exact(wire, n_parts).materialize()
-    from ..stages.lsh import TEXT_SPACE as _TS
-
-    edges = dup_edges(
-        collapsed, cfg, n_parts, spaces=[(_TS, "simhash", cfg.text_lsh)]
-    ).materialize()
-    assignment, _, _ = attach_clusters(
-        collapsed, edges, cfg, n_parts, compute_n_clusters=False
-    )
-
-    def from_wire(batch: pa.Table) -> pa.Table:
-        if int_ids:
-            ids = pc.cast(batch["image_id"], pa.int64())
-            cluster = pc.cast(batch["cluster_id"], pa.int64())
-        else:
-            ids, cluster = batch["image_id"], batch["cluster_id"]
-        return pa.table(
-            {
-                id_col: ids,
-                "cluster_id": cluster,
-                "is_representative": batch["is_representative"],
-            }
-        )
-
-    return assignment.map_batches(from_wire, batch_format="pyarrow")
+    schema = sigs.schema()
+    return dedup_signatures(
+        sigs,
+        [(TEXT_SPACE, "simhash", cfg.text_lsh)],
+        id_col,
+        limit,
+        choose_n_parts(n),
+        n,
+        id_type=dict(zip(schema.names, schema.types))[id_col],
+        cfg=cfg,
+    ).assignment
 
 
 def dedup_documents_checkpointed(
@@ -217,12 +127,7 @@ def dedup_documents_checkpointed_parts(
     run = CheckpointedRun(ckpt_dir, cfg.config_hash())
     sigs = run.stage(
         "doc_signatures",
-        lambda: encode_signatures(
-            docs.select_columns([id_col, text_col]),
-            cfg.simhash,
-            text_col=text_col,
-            concurrency=concurrency,
-        ).select_columns([id_col, "simhash"]),
+        lambda: doc_signatures(docs, cfg, text_col, id_col, concurrency),
         input_fingerprint,
     )
     assignment = run.stage(

@@ -11,6 +11,13 @@ image+caption table (BASELINE.json north_rule).
       → cluster attach (broadcast small label map, else
         hash join) → assignment / representatives / survivors
 
+Everything after the encode is :func:`dedup_signatures`, the one dedup
+core every SimHash pipeline runs (flagship, dihedral, documents,
+cascade tiers).  The collapse → … → attach chain above is its
+distributed regime; below BROADCAST_SIG_LIMIT rows its direct regime
+replaces collapse, groupby and propagation with broadcast banding and
+a driver union-find.
+
 Shuffle inventory (scale notes):
   1. collapse groupby     — narrow (id, 2×int64) rows
   2. band-bucket groupby  — 56 narrow rows per *distinct* signature
@@ -35,7 +42,12 @@ import ray.data as rd
 from ..config import DEFAULT_CONFIG, DedupConfig, LSHConfig
 from ..simhash import hamming64
 from ..stages.collapse import collapse_exact
-from ..stages.cluster import connected_components, unionfind_driver
+from ..stages.cluster import (
+    connected_components,
+    dedupe_edges,
+    distinct_edges,
+    unionfind_driver,
+)
 from ..stages.encode import encode_signatures
 from ..stages.lsh import (
     IMAGE_SPACE,
@@ -76,6 +88,15 @@ def signatures(
     ).select_columns(["image_id", "simhash", "phash"])
 
 
+def flagship_spaces(cfg: DedupConfig) -> list:
+    """The north rule's two signature spaces, as the core's
+    [(space, sig_col, LSHConfig)] list: caption SimHash + image pHash."""
+    return [
+        (TEXT_SPACE, "simhash", cfg.text_lsh),
+        (IMAGE_SPACE, "phash", cfg.image_lsh),
+    ]
+
+
 def _band_plan(
     collapsed: rd.Dataset, cfg: DedupConfig, spaces: list | None = None
 ) -> tuple[list, int, int]:
@@ -90,10 +111,7 @@ def _band_plan(
     import itertools as _it
 
     if spaces is None:  # default: both north-rule signature spaces
-        spaces = [
-            (TEXT_SPACE, "simhash", cfg.text_lsh),
-            (IMAGE_SPACE, "phash", cfg.image_lsh),
-        ]
+        spaces = flagship_spaces(cfg)
     n_bands = sum(
         1
         for _, _, c in spaces
@@ -104,6 +122,13 @@ def _band_plan(
     return spaces, n_bands, band_parts
 
 
+def _narrow_repartition(ds: rd.Dataset) -> rd.Dataset:
+    """~1 block per CPU (at least 32) for the narrow pre-band table —
+    the band shuffle runs one map task per input block, and moving the
+    narrow rows beats moving the ~n_bands×-larger band table."""
+    return ds.repartition(max(32, int(ray.cluster_resources().get("CPU", 32))))
+
+
 def dup_edges(
     collapsed: rd.Dataset,
     cfg: DedupConfig = DEFAULT_CONFIG,
@@ -112,6 +137,8 @@ def dup_edges(
     part_range: tuple[int, int] | None = None,
     candidates_only: bool = False,
     first_band_only: bool = False,
+    id_col: str = "image_id",
+    id_type: pa.DataType = pa.string(),
 ) -> rd.Dataset:
     """Distinct-signature nodes → banding → bucket pairs → verified
     (a, b) dup edges.
@@ -136,18 +163,16 @@ def dup_edges(
     band bucket exceeds OVERSIZED_EXACT_CAP distinct sigs
     (equivalence-tested)."""
     spaces, _, band_parts = _band_plan(collapsed, cfg, spaces)
-    cpus = int(ray.cluster_resources().get("CPU", 32))
     sig_cols = sorted({col for _, col, _ in spaces})
-    reps = (
-        collapsed.filter(expr="is_rep == True")
-        .select_columns(["image_id", *sig_cols])
-        .repartition(max(32, cpus))
+    reps = _narrow_repartition(
+        collapsed.filter(expr="is_rep == True").select_columns([id_col, *sig_cols])
     )
     expander = make_band_expander(
         spaces,
-        id_col="image_id",
+        id_col=id_col,
         n_parts=band_parts,
         part_range=part_range,
+        id_type=id_type,
     )
     bands = reps.map_batches(expander, batch_format="pyarrow")
     verified = candidate_pairs(
@@ -160,15 +185,13 @@ def dup_edges(
         first_band_cfgs=(
             {sp: c for sp, _, c in spaces} if first_band_only else None
         ),
+        id_type=id_type,
     )
     if candidates_only:
-        def local_dedupe(t: pa.Table) -> pa.Table:
-            return t.select(["a", "b"]).group_by(["a", "b"]).aggregate([])
-
-        return verified.map_batches(local_dedupe, batch_format="pyarrow")
-    from ..stages.cluster import dedupe_edges
-
-    return dedupe_edges(verified.select_columns(["a", "b"]), n_parts)
+        return verified.map_batches(
+            lambda t: distinct_edges(t, id_type), batch_format="pyarrow"
+        )
+    return dedupe_edges(verified.select_columns(["a", "b"]), n_parts, id_type)
 
 
 def choose_n_parts(n_rows: int) -> int:
@@ -193,11 +216,23 @@ def choose_n_parts(n_rows: int) -> int:
     return int(min(65536, max(64, 4 * cpus, n_rows // 65536)))
 
 
-def _direct_regime_cluster(ids, space_sigs, spaces, taus, pair_full_threshold):
-    """Shared direct-regime tail (flagship + dihedral): broadcast
-    banding over id-aligned signature arrays → canonical (a < b,
-    deduped) edge set → driver union-find.  Returns
-    (edge_df, label_df, edges_ds)."""
+def _broadcast_plan(df, spaces: list) -> tuple:
+    """(space_sigs, spaces, taus, pair_full_threshold) — the broadcast
+    banding arguments for a collected signature frame and its
+    [(space, sig_col, LSHConfig)] list.  Pairing thresholds are
+    per-pipeline (shared across spaces): the stricter config wins."""
+    return (
+        {sp: df[col].to_numpy().view(np.uint64) for sp, col, _ in spaces},
+        [(sp, c) for sp, _, c in spaces],
+        {sp: c.hamming_tau for sp, _, c in spaces},
+        min(c.pair_full_threshold for _, _, c in spaces),
+    )
+
+
+def _canonical_edges(ids, space_sigs, spaces, taus, pair_full_threshold):
+    """Broadcast banding over id-aligned signature arrays → the
+    canonical (a < b), deduped id edge frame (the direct regime's
+    edges; the incremental fold's shard edges)."""
     import pandas as pd
 
     ai, bi = broadcast_candidate_edges(
@@ -206,12 +241,82 @@ def _direct_regime_cluster(ids, space_sigs, spaces, taus, pair_full_threshold):
     a_ids, b_ids = ids[ai], ids[bi]
     swap = a_ids > b_ids
     a_ids[swap], b_ids[swap] = b_ids[swap], a_ids[swap]
-    edge_df = pd.DataFrame({"a": a_ids, "b": b_ids}).drop_duplicates()
+    return pd.DataFrame({"a": a_ids, "b": b_ids}).drop_duplicates()
+
+
+def _direct_regime_cluster(
+    ids, space_sigs, spaces, taus, pair_full_threshold, id_type=pa.string()
+):
+    """The direct regime's tail: :func:`_canonical_edges` → driver
+    union-find.  Returns (edge_df, label_df, edges_ds)."""
+    edge_df = _canonical_edges(ids, space_sigs, spaces, taus, pair_full_threshold)
     label_df = unionfind_driver(edge_df)
     edges = rd.from_pandas(edge_df) if len(edge_df) else rd.from_arrow(
-        pa.table({"a": pa.array([], pa.string()), "b": pa.array([], pa.string())})
+        pa.table({"a": pa.array([], id_type), "b": pa.array([], id_type)})
     )
     return edge_df, label_df, edges
+
+
+def dedup_signatures(
+    sigs: rd.Dataset,
+    spaces: list,
+    id_col: str,
+    limit: int,
+    n_parts: int,
+    n_rows: int,
+    id_type: pa.DataType = pa.string(),
+    cfg: DedupConfig = DEFAULT_CONFIG,
+) -> DedupResult:
+    """THE dedup core: a signature table (``id_col`` + one int64 column
+    per space) and its [(space, sig_col, LSHConfig)] list → clusters.
+    Every SimHash pipeline runs this; each only encodes and wires its
+    spaces.  Ids keep their Arrow type ``id_type`` (string or integer)
+    through every stage, and the min-id representative follows the
+    id's own order, so both regimes elect the same one.
+
+    - **direct** (``n_rows`` ≤ ``limit``): collect the narrow table
+      once, band it by one Ray task per band over broadcast arrays
+      (no all-to-all shuffle), canonical edges → driver union-find →
+      attach by own id.  Identical-signature masses (exact dups, hot
+      captions) are connected by Hamming-0 chain edges inside
+      oversized buckets, so no exact collapse is needed here.
+    - **distributed** (above): exact-signature collapse groupby →
+      band-bucket groupby with fused Hamming verify
+      (:func:`dup_edges`) → :func:`attach_clusters` — every stage
+      streaming and partitioned.
+
+    Equivalence of the two regimes: tests/test_lsh_paths.py,
+    tests/test_pipeline.py, tests/test_core_ids.py."""
+    if n_rows <= limit:
+        sigs = sigs.materialize()
+        sig_df = sigs.to_pandas()
+        _, label_df, edges = _direct_regime_cluster(
+            sig_df[id_col].to_numpy(), *_broadcast_plan(sig_df, spaces),
+            id_type=id_type,
+        )
+        return DedupResult(
+            assignment=_attach_by_own_id(
+                sigs, label_df, id_col=id_col, id_type=id_type
+            ).materialize(),
+            edges=edges,
+            n_clusters_with_dups=len(set(label_df["label"])),
+            n_nodes_clustered=len(label_df),
+            signatures=sigs,
+        )
+    sig_cols = list(dict.fromkeys(col for _, col, _ in spaces))
+    collapsed = collapse_exact(sigs, n_parts, id_col, sig_cols, id_type).materialize()
+    edges = dup_edges(
+        collapsed, cfg, n_parts, spaces=spaces, id_col=id_col, id_type=id_type
+    ).materialize()
+    assignment, n_clusters, n_nodes = attach_clusters(
+        collapsed, edges, cfg, n_parts, id_col=id_col, id_type=id_type
+    )
+    return DedupResult(
+        assignment=assignment,
+        edges=edges,
+        n_clusters_with_dups=n_clusters,
+        n_nodes_clustered=n_nodes,
+    )
 
 
 def dedup_images(
@@ -222,23 +327,12 @@ def dedup_images(
     broadcast_sig_limit: int | None = None,
     precomputed_sigs: rd.Dataset | None = None,
 ) -> DedupResult:
-    """Two regimes, equivalent outputs (tests/test_lsh_paths.py and
-    tests/test_pipeline.py::test_distributed_regime_matches_direct;
-    ``broadcast_sig_limit`` overrides BROADCAST_SIG_LIMIT — pass 0 to
-    force the distributed regime, as bench.py does for its
-    ``e2e_dedup_distributed`` number):
-
-    - **direct** (rows ≤ BROADCAST_SIG_LIMIT): encode distributed, then
-      the narrow signature table (≤ ~0.5 GB) is collected once and
-      banded by one raw Ray task per band over broadcast arrays — no
-      all-to-all shuffle at all.  Identical-signature masses (the exact
-      dup / hot-caption cases) are connected by Hamming-0 chain edges
-      inside oversized buckets, so the exact-collapse stage is not
-      needed for correctness here.
-    - **distributed** (above the limit): exact-signature collapse
-      groupby → band-bucket groupby shuffle → distributed min-label
-      propagation — every stage streaming and partitioned.
-    """
+    """The flagship: encode (caption SimHash next to the stored pHash)
+    → :func:`dedup_signatures` over both spaces.  Rows ≤
+    ``broadcast_sig_limit`` (default BROADCAST_SIG_LIMIT) take the
+    direct regime, larger inputs the distributed one — pass 0 to force
+    it, as bench.py does for its ``e2e_dedup_distributed`` number.
+    The direct regime also returns the materialized signature table."""
     n_rows = images.count()
     if n_parts is None:
         n_parts = choose_n_parts(n_rows)
@@ -251,42 +345,8 @@ def dedup_images(
         if precomputed_sigs is not None
         else signatures(images, cfg, concurrency=concurrency)
     )
-    kept_sigs = None
-    if n_rows <= limit:
-        sigs = sigs.materialize()
-        kept_sigs = sigs
-        sig_df = sigs.to_pandas()
-        ids = sig_df["image_id"].to_numpy(dtype=object)
-        edge_df, label_df, edges = _direct_regime_cluster(
-            ids,
-            {
-                TEXT_SPACE: sig_df["simhash"].to_numpy().view(np.uint64),
-                IMAGE_SPACE: sig_df["phash"].to_numpy().view(np.uint64),
-            },
-            [(TEXT_SPACE, cfg.text_lsh), (IMAGE_SPACE, cfg.image_lsh)],
-            taus={
-                TEXT_SPACE: cfg.text_lsh.hamming_tau,
-                IMAGE_SPACE: cfg.image_lsh.hamming_tau,
-            },
-            pair_full_threshold=min(
-                cfg.text_lsh.pair_full_threshold, cfg.image_lsh.pair_full_threshold
-            ),
-        )
-        assignment = _attach_by_own_id(sigs, label_df)
-        n_clusters = len(set(label_df["label"]))
-        n_nodes = len(label_df)
-    else:  # cluster-scale regime (composed-tested + benched since r2)
-        collapsed = collapse_exact(sigs, n_parts).materialize()
-        edges = dup_edges(collapsed, cfg, n_parts).materialize()
-        assignment, n_clusters, n_nodes = attach_clusters(
-            collapsed, edges, cfg, n_parts
-        )
-    return DedupResult(
-        assignment=assignment.materialize(),
-        edges=edges,
-        n_clusters_with_dups=n_clusters,
-        n_nodes_clustered=n_nodes,
-        signatures=kept_sigs,
+    return dedup_signatures(
+        sigs, flagship_spaces(cfg), "image_id", limit, n_parts, n_rows, cfg=cfg
     )
 
 
@@ -297,66 +357,27 @@ def dedup_images_dihedral(
     concurrency=(1, 8),
     broadcast_sig_limit: int | None = None,
 ) -> DedupResult:
-    """Mirror/rotation-robust image dedup: the flagship's candidate →
-    verify → cluster machinery run in the single dihedral-canonical
-    hash space (stages/multimodal.DihedralPhash — min of the pinned
-    phash over the 8 thumbnail symmetries), so a horizontally mirrored
-    or rotated copy lands at Hamming 0 where the precomputed ``phash``
-    column sees an unrelated signature.
-
-    Same two regimes as :func:`dedup_images` (``broadcast_sig_limit=0``
-    forces the distributed path).  The distributed regime reuses
-    collapse_exact / dup_edges / attach_clusters unchanged by carrying
-    the dihedral sig in BOTH signature slots and banding only the
-    image space — 8 extra bytes/row through the collapse shuffle buys
-    zero new shuffle code.  Unlike the flagship this stage must DECODE
-    (the stored phash cannot be canonicalized post-hoc), so the encode
-    pool is the wide-binary actor-pool shape: small batches, bytes
-    never pass the encoder."""
+    """Mirror/rotation-robust image dedup: the flagship's core run in
+    the single dihedral-canonical hash space
+    (stages/multimodal.DihedralPhash — min of the pinned phash over the
+    8 thumbnail symmetries), so a horizontally mirrored or rotated copy
+    lands at Hamming 0 where the precomputed ``phash`` column sees an
+    unrelated signature.  Same two regimes as :func:`dedup_images`
+    (``broadcast_sig_limit=0`` forces the distributed one).  Unlike
+    the flagship this stage must DECODE (the stored phash cannot be
+    canonicalized post-hoc), so the encode pool is the wide-binary
+    actor-pool shape: small batches, bytes never pass the encoder.
+    ``signatures`` is (image_id, dsig) in this pipeline."""
     from ..stages.multimodal import dihedral_signatures
 
     n_rows = images.count()
     if n_parts is None:
         n_parts = choose_n_parts(n_rows)
     limit = BROADCAST_SIG_LIMIT if broadcast_sig_limit is None else broadcast_sig_limit
-    sigs = dihedral_signatures(images, concurrency=concurrency)
-    kept_sigs = None
-    if n_rows <= limit:
-        sigs = sigs.materialize()
-        kept_sigs = sigs
-        sig_df = sigs.to_pandas()
-        ids = sig_df["image_id"].to_numpy(dtype=object)
-        edge_df, label_df, edges = _direct_regime_cluster(
-            ids,
-            {IMAGE_SPACE: sig_df["dsig"].to_numpy().view(np.uint64)},
-            [(IMAGE_SPACE, cfg.image_lsh)],
-            taus={IMAGE_SPACE: cfg.image_lsh.hamming_tau},
-            pair_full_threshold=cfg.image_lsh.pair_full_threshold,
-        )
-        assignment = _attach_by_own_id(sigs, label_df)
-        n_clusters = len(set(label_df["label"]))
-        n_nodes = len(label_df)
-    else:  # cluster-scale regime: reuse the flagship stages verbatim
-        both = sigs.map_batches(
-            lambda t: pa.table(
-                {"image_id": t["image_id"], "simhash": t["dsig"], "phash": t["dsig"]}
-            ),
-            batch_format="pyarrow",
-        )
-        collapsed = collapse_exact(both, n_parts).materialize()
-        edges = dup_edges(
-            collapsed, cfg, n_parts,
-            spaces=[(IMAGE_SPACE, "phash", cfg.image_lsh)],
-        ).materialize()
-        assignment, n_clusters, n_nodes = attach_clusters(
-            collapsed, edges, cfg, n_parts
-        )
-    return DedupResult(
-        assignment=assignment.materialize(),
-        edges=edges,
-        n_clusters_with_dups=n_clusters,
-        n_nodes_clustered=n_nodes,
-        signatures=kept_sigs,  # (image_id, dsig) in this pipeline
+    return dedup_signatures(
+        dihedral_signatures(images, concurrency=concurrency),
+        [(IMAGE_SPACE, "dsig", cfg.image_lsh)],
+        "image_id", limit, n_parts, n_rows, cfg=cfg,
     )
 
 
@@ -474,15 +495,10 @@ def _tile_pairs_distributed(
     (a, b) groupby dedups band multiplicity per space and counts the
     distinct agreeing tiles.  Narrow rows only; nothing collects."""
     from ..stages.base import map_groups_typed
-    from ..stages.lsh import candidate_pairs, make_band_expander
 
-    import itertools as _it
-
-    n_bands = 4 * sum(1 for _ in _it.combinations(range(cfg.n_blocks), cfg.combo_m))
-    band_parts = int(min(65536, max(256, (n * n_bands) // 8192)))
-    cpus = int(ray.cluster_resources().get("CPU", 32))
     spaces = [(t, f"t{t}", cfg) for t in range(4)]
-    bands = sigs.repartition(max(32, cpus)).map_batches(
+    _, _, band_parts = _band_plan(sigs, DEFAULT_CONFIG, spaces)
+    bands = _narrow_repartition(sigs).map_batches(
         make_band_expander(spaces, id_col="image_id", n_parts=band_parts),
         batch_format="pyarrow",
     )
@@ -591,21 +607,14 @@ def _tile_verify(arrs, ids, ai, bi, tau: int, k_min: int) -> pa.Table:
     Hamming ``tau`` per candidate index pair, keep ≥ ``k_min``, emit
     canonical (a < b) id pairs — used by tile_dup_pairs and by the
     oracle-staging query so the two cannot drift."""
-    empty = pa.table(
-        {
-            "a": pa.array([], type=pa.string()),
-            "b": pa.array([], type=pa.string()),
-            "n_tiles_close": pa.array([], type=pa.int64()),
-        }
-    )
     if len(ai) == 0:
-        return empty
+        return _EMPTY_TILE_PAIRS
     close = np.zeros(len(ai), dtype=np.int64)
     for t in range(4):
         close += (hamming64(arrs[t][ai], arrs[t][bi]) <= tau).astype(np.int64)
     keep = close >= k_min
     if not keep.any():
-        return empty
+        return _EMPTY_TILE_PAIRS
     a_ids, b_ids = ids[ai[keep]], ids[bi[keep]]
     swap = a_ids > b_ids
     a_ids[swap], b_ids[swap] = b_ids[swap], a_ids[swap]
@@ -618,60 +627,35 @@ def _tile_verify(arrs, ids, ai, bi, tau: int, k_min: int) -> pa.Table:
     )
 
 
-def _attach_by_own_id(sigs: rd.Dataset, label_df) -> rd.Dataset:
-    """Attach cluster ids when nodes ARE image ids (direct regime)."""
-    import pandas as pd
+def _attach_by_own_id(
+    rows: rd.Dataset,
+    label_df,
+    id_col: str = "image_id",
+    key_col: str | None = None,
+    id_type: pa.DataType = pa.string(),
+) -> rd.Dataset:
+    """Attach cluster ids from a collected (node → label) map, broadcast
+    once: each row's cluster is the label of its ``key_col`` (its own
+    id by default — the direct regime, where nodes ARE ids; ``rep_id``
+    after an exact collapse), else the key itself.  Exact for every id
+    type (stages.cluster.attach_labels)."""
+    from ..stages.cluster import attach_labels
 
-    label_ref = ray.put(
-        pd.Series(
-            label_df["label"].to_numpy(), index=label_df["node"].to_numpy()
-        )
-    )
+    key_col = key_col or id_col
+    label_ref = ray.put(label_df)
 
     def attach(batch: pa.Table) -> pa.Table:
-        lm = ray.get(label_ref)
-        ids = pd.Series(batch["image_id"].to_numpy(zero_copy_only=False))
-        cluster = ids.map(lm).fillna(ids).to_numpy(dtype=object)
+        key = batch[key_col].to_numpy(zero_copy_only=False)
+        cluster = pa.array(attach_labels(key, ray.get(label_ref)), type=id_type)
         return pa.table(
             {
-                "image_id": batch["image_id"],
-                "cluster_id": pa.array(cluster, type=pa.string()),
-                "is_representative": pa.array(
-                    ids.to_numpy(dtype=object) == cluster
-                ),
+                id_col: batch[id_col],
+                "cluster_id": cluster,
+                "is_representative": pc.equal(batch[id_col], cluster),
             }
         )
 
-    return sigs.select_columns(["image_id"]).map_batches(
-        attach, batch_format="pyarrow"
-    )
-
-
-def _attach_with_label_df(collapsed: rd.Dataset, label_df) -> rd.Dataset:
-    """Broadcast the (node → cluster label) map and attach per batch
-    (vectorized pandas dict-map, no per-row Python)."""
-    import pandas as pd
-
-    label_ref = ray.put(
-        pd.Series(
-            label_df["label"].to_numpy(), index=label_df["node"].to_numpy()
-        )
-    )
-
-    def attach(batch: pa.Table) -> pa.Table:
-        lm = ray.get(label_ref)
-        rep = pd.Series(batch["rep_id"].to_numpy(zero_copy_only=False))
-        cluster = rep.map(lm).fillna(rep).to_numpy(dtype=object)
-        ids = batch["image_id"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "image_id": batch["image_id"],
-                "cluster_id": pa.array(cluster, type=pa.string()),
-                "is_representative": pa.array(ids == cluster),
-            }
-        )
-
-    return collapsed.select_columns(["image_id", "rep_id"]).map_batches(
+    return rows.select_columns(list(dict.fromkeys([id_col, key_col]))).map_batches(
         attach, batch_format="pyarrow"
     )
 
@@ -682,9 +666,14 @@ def attach_clusters(
     cfg: DedupConfig = DEFAULT_CONFIG,
     n_parts: int = 64,
     broadcast_limit: int | None = None,
-    compute_n_clusters: bool = True,
+    id_col: str = "image_id",
+    key_col: str = "rep_id",
+    id_type: pa.DataType = pa.string(),
 ) -> tuple[rd.Dataset, int, int]:
-    """Cluster the verified edges and attach cluster ids to every row.
+    """Cluster the verified edges over ``key_col`` nodes and attach a
+    cluster id to every row of ``collapsed`` → (assignment, n_clusters,
+    n_nodes).  The core's attach tail; ``stages.cluster.assign_clusters``
+    feeds it pair tables with every id its own key.
 
     The verified edge set is tiny relative to the input (only near-dup
     pairs): below BROADCAST_LIMIT run union-find on the driver (one
@@ -692,59 +681,60 @@ def attach_clusters(
     propagation rounds + a hash ``Dataset.join`` take over
     (``broadcast_limit=0`` forces that path — equivalence-tested in
     tests/test_pipeline.py)."""
+    from ..stages import cluster
+
     limit = BROADCAST_LIMIT if broadcast_limit is None else broadcast_limit
     n_edges = edges.count()
     labels = None
     if n_edges <= limit:
-        from ..stages.cluster import unionfind_driver
-
-        label_df = unionfind_driver(edges.to_pandas())
+        label_df = cluster.unionfind_driver(edges.to_pandas())
         n_nodes = len(label_df)
     else:  # cluster-scale path
-        labels = connected_components(edges, cfg.max_cluster_rounds, n_parts)
+        labels = connected_components(
+            edges, cfg.max_cluster_rounds, n_parts, id_type
+        )
         n_nodes = labels.count()
         label_df = labels.to_pandas() if n_nodes <= limit else None
 
     if label_df is not None:
-        assignment = _attach_with_label_df(collapsed, label_df)
+        assignment = _attach_by_own_id(collapsed, label_df, id_col, key_col, id_type)
     else:  # exercised at cluster scale (>BROADCAST_LIMIT labels)
-        joined = collapsed.select_columns(["image_id", "rep_id"]).join(
+        joined = collapsed.select_columns(
+            list(dict.fromkeys([id_col, key_col]))
+        ).join(
             labels.map_batches(
-                lambda t: t.rename_columns(["rep_id", "label"]),
+                lambda t: t.rename_columns([key_col, "label"]),
                 batch_format="pyarrow",
             ),
             join_type="left_outer",
             num_partitions=n_parts,
-            on=("rep_id",),
+            on=(key_col,),
         )
 
         def finish(batch: pa.Table) -> pa.Table:
-            # vectorized: cluster = label, falling back to rep_id for
-            # rows whose rep has no verified edge (no join match)
-            cluster = pc.coalesce(
-                batch["label"].cast(pa.string()), batch["rep_id"].cast(pa.string())
+            # cluster = label, falling back to the key for rows whose
+            # key has no verified edge (no join match)
+            cluster_id = pc.coalesce(
+                batch["label"].cast(id_type), batch[key_col].cast(id_type)
             )
             return pa.table(
                 {
-                    "image_id": batch["image_id"],
-                    "cluster_id": cluster,
+                    id_col: batch[id_col],
+                    "cluster_id": cluster_id,
                     "is_representative": pc.equal(
-                        batch["image_id"].cast(pa.string()), cluster
+                        batch[id_col].cast(id_type), cluster_id
                     ),
                 }
             )
 
         assignment = joined.map_batches(finish, batch_format="pyarrow")
 
-    if not compute_n_clusters:  # callers that discard the metric
-        return assignment, -1, n_nodes  # (dedup_docs; review finding)
     # n_clusters = distinct cluster ids among NON-representative rows —
     # one regime-independent definition (the label-set count missed
     # collapse-only exact-dup clusters in the distributed regime, so the
     # CLI metrics differed between regimes and across a resume)
     assignment = assignment.materialize()
-    n_clusters = _count_distinct_clusters(assignment)
-    return assignment, n_clusters, n_nodes
+    return assignment, _count_distinct_clusters(assignment), n_nodes
 
 
 # Per-block-unique cluster-id rows collected for the exact distinct
@@ -878,8 +868,6 @@ def dedup_images_checkpointed(
         # per-band-partition-range resume for the (hours-long at 10^12
         # rows) band+verify pass; the global dedupe over the shard
         # union commits as its own (cheap) stage
-        from ..stages.cluster import dedupe_edges
-
         fns, decomp = _edge_shard_fns(collapsed, cfg, edge_shards)
         cand_fp = f"{input_fingerprint}:{decomp}"
         cands = run.sharded_stage("edge_cands", fns, cand_fp)
@@ -892,30 +880,23 @@ def dedup_images_checkpointed(
         edges = run.stage(
             "edges", lambda: dup_edges(collapsed, cfg, n_parts), input_fingerprint
         )
-    holder: dict = {}
+    holder: dict = {"n_nodes": -1}  # n_nodes is not recomputed on resume
 
     def produce_assignment():
-        assignment, n_clusters, n_nodes = attach_clusters(
+        assignment, holder["n_clusters"], holder["n_nodes"] = attach_clusters(
             collapsed, edges, cfg, n_parts
         )
-        holder["n_clusters"] = n_clusters
-        holder["n_nodes"] = n_nodes
         return assignment
 
     assignment = run.stage("assignment", produce_assignment, input_fingerprint)
     run.write_metrics()
-    if "n_clusters" not in holder:  # assignment stage was resumed
-        holder["n_nodes"] = -1  # not recomputed on resume
-        holder["n_clusters"] = (
-            assignment.filter(expr="is_representative == False")
-            .groupby("cluster_id")
-            .count()
-            .count()  # distributed distinct count — no driver collect
-        )
     return DedupResult(
         assignment=assignment,
         edges=edges,
-        n_clusters_with_dups=holder["n_clusters"],
+        n_clusters_with_dups=(
+            holder["n_clusters"] if "n_clusters" in holder
+            else _count_distinct_clusters(assignment)  # stage was resumed
+        ),
         n_nodes_clustered=holder["n_nodes"],
     )
 

@@ -72,14 +72,15 @@ import ray
 import ray.data as rd
 
 from ..config import DEFAULT_CONFIG, DedupConfig
-from ..stages.cluster import unionfind_driver
-from ..stages.lsh import (
-    IMAGE_SPACE,
-    TEXT_SPACE,
-    band_keys,
-    broadcast_candidate_edges,
+from ..stages.cluster import attach_labels, unionfind_driver
+from ..stages.lsh import TEXT_SPACE, band_keys
+from .dedup_images import (
+    BROADCAST_SIG_LIMIT,
+    _broadcast_plan,
+    _canonical_edges,
+    flagship_spaces,
+    signatures,
 )
-from .dedup_images import BROADCAST_SIG_LIMIT, signatures
 
 logger = logging.getLogger(__name__)
 
@@ -113,13 +114,6 @@ def estimate_candidate_fraction(shard_keys: dict, plans: list) -> float:
     return 1.0 - miss
 
 
-def _space_plans(cfg: DedupConfig):
-    return [
-        (TEXT_SPACE, "simhash", cfg.text_lsh),
-        (IMAGE_SPACE, "phash", cfg.image_lsh),
-    ]
-
-
 def dedup_images_incremental(
     new_images: rd.Dataset,
     base_sigs: rd.Dataset,
@@ -138,7 +132,7 @@ def dedup_images_incremental(
         new_df,
         base_sigs,
         base_assignment,
-        plans=_space_plans(cfg),
+        plans=flagship_spaces(cfg),
         id_col="image_id",
         id_type=pa.string(),
         candidate_limit=(
@@ -164,18 +158,11 @@ def dedup_documents_incremental(
     """Document-domain incremental fold — the ingest analogue of
     pipelines/dedup_docs.dedup_documents, single text signature space.
     ``base_sigs`` = (doc_id, simhash) from the base run."""
-    from ..stages.encode import encode_signatures
+    from .dedup_docs import doc_signatures
 
-    new_df = (
-        encode_signatures(
-            new_docs.select_columns([id_col, text_col]),
-            cfg.simhash,
-            text_col=text_col,
-            concurrency=concurrency,
-        )
-        .select_columns([id_col, "simhash"])
-        .to_pandas()
-    )
+    new_df = doc_signatures(
+        new_docs, cfg, text_col, id_col, concurrency
+    ).to_pandas()
     id_type = pa.string() if new_df[id_col].dtype == object else pa.from_numpy_dtype(
         new_df[id_col].dtype
     )
@@ -343,25 +330,19 @@ def _fold_shard(
             probe_mode, len(new_df), len(cand_df), n_base, 100 * cand_frac,
         )
 
-    # 3. candidate pairs + Hamming verify over shard ∪ candidates
+    # 3. candidate pairs + Hamming verify over shard ∪ candidates: the
+    # dedup core's direct-regime edges, keeping those with ≥1 shard
+    # endpoint
     comb = pd.concat([new_df, cand_df], ignore_index=True)
-    n_new = len(new_df)
-    ai, bi = broadcast_candidate_edges(
-        {sp: comb[col].to_numpy().view(np.uint64) for sp, col, _lc in plans},
-        [(sp, lc) for sp, _c, lc in plans],
-        taus={sp: lc.hamming_tau for sp, _c, lc in plans},
-        pair_full_threshold=min(lc.pair_full_threshold for _s, _c, lc in plans),
+    edges = _canonical_edges(
+        comb[id_col].to_numpy(dtype=object), *_broadcast_plan(comb, plans)
     )
-    keep = (ai < n_new) | (bi < n_new)  # ≥1 shard endpoint
-    ai, bi = ai[keep], bi[keep]
-    ids = comb[id_col].to_numpy(dtype=object)
-    a_ids, b_ids = ids[ai], ids[bi]
-    swap = a_ids > b_ids
-    a_ids[swap], b_ids[swap] = b_ids[swap], a_ids[swap]
-    edges_new = pd.DataFrame({"a": a_ids, "b": b_ids}).drop_duplicates()
+    shard_ids = pd.Index(new_df[id_col])
+    a_new, b_new = edges["a"].isin(shard_ids), edges["b"].isin(shard_ids)
+    edges_new = edges[a_new | b_new].reset_index(drop=True)
 
     # 4. collapse base endpoints to their existing cluster labels
-    touched_base = set(ids[ai[ai >= n_new]]) | set(ids[bi[bi >= n_new]])
+    touched_base = set(edges["a"][~a_new & b_new]) | set(edges["b"][a_new & ~b_new])
     if touched_base:
         tb_ref = ray.put(np.array(sorted(touched_base), dtype=object))
 
@@ -385,7 +366,9 @@ def _fold_shard(
     else:
         label_of = pd.Series(dtype=object)
 
-    is_new = pd.Series(np.arange(len(comb)) < n_new, index=comb[id_col].values)
+    is_new = pd.Series(
+        np.arange(len(comb)) < len(new_df), index=comb[id_col].values
+    )
 
     def to_node(x: np.ndarray) -> np.ndarray:
         vals = pd.Series(x, dtype=object)
@@ -410,8 +393,7 @@ def _fold_shard(
 
     # 5. shard assignment + base-cluster remap
     new_ids = new_df[id_col].to_numpy(dtype=object)
-    mapped = pd.Series(new_ids, dtype=object).map(lab_map)
-    final = mapped.where(mapped.notna(), new_ids).to_numpy(dtype=object)
+    final = attach_labels(new_ids, labels)
     assignment_new = rd.from_arrow(
         pa.table(
             {

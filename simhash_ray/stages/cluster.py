@@ -8,7 +8,8 @@ components in map-reduce in logarithmic rounds", ICDE 2013 — see
 /root/repo/PAPERS.md).
 
 Each round is three coarse-partition groupby shuffles over *narrow*
-tables (node:string, label:string):
+tables (node, label), ids in their own Arrow type (string or integer —
+the min label is the id order's min either way):
 
   stage 1  partition by node: join labels→edges within the partition,
            emit (neighbor, my_label) messages + the self row
@@ -33,45 +34,38 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
-from ..functions.hashing import part_of_strings
+from ..functions.hashing import part_of_ids
 from .base import map_groups_typed
 
-_EMPTY_LABELS = pa.table(
-    {"node": pa.array([], type=pa.string()), "label": pa.array([], type=pa.string())}
-)
-_EMPTY_MSGS = pa.table(
-    {
-        "node": pa.array([], type=pa.string()),
-        "label": pa.array([], type=pa.string()),
-        "is_self": pa.array([], type=pa.bool_()),
-        "part": pa.array([], type=pa.int32()),
-    }
-)
-_EMPTY_MINIMIZED = pa.table(
-    {
-        "node": pa.array([], type=pa.string()),
-        "label": pa.array([], type=pa.string()),
-        "changed": pa.array([], type=pa.int64()),
-    }
-)
+
+def _ids(col) -> np.ndarray:
+    """Native numpy view of an id column: int64 for integer ids, object
+    for strings (so min/compare/partition follow the id's own order)."""
+    return np.asarray(col.to_numpy(zero_copy_only=False))
 
 
-_EMPTY_EDGES = pa.table(
-    {"a": pa.array([], type=pa.string()), "b": pa.array([], type=pa.string())}
-)
+def _empty_labels(id_type: pa.DataType) -> pa.Table:
+    return pa.table(
+        {"node": pa.array([], type=id_type), "label": pa.array([], type=id_type)}
+    )
 
 
-def _dedupe_edges(batch: pa.Table) -> pa.Table:
-    """Batch-local edge dedupe (cross-band duplicates are common).
-    Typed empty on empty input — the pandas round-trip would turn an
-    empty string block into a null-typed one (schema drift)."""
+def _empty_edges(id_type: pa.DataType) -> pa.Table:
+    return pa.table({"a": pa.array([], type=id_type), "b": pa.array([], type=id_type)})
+
+
+def distinct_edges(batch: pa.Table, id_type: pa.DataType) -> pa.Table:
+    """Batch-local exact (a, b) dedupe — Arrow hash-distinct, typed
+    empty on empty input (an untyped empty block is schema drift)."""
     if batch.num_rows == 0:
-        return _EMPTY_EDGES
-    df = batch.select(["a", "b"]).to_pandas().drop_duplicates()
-    return pa.Table.from_pandas(df, preserve_index=False)
+        return _empty_edges(id_type)
+    t = batch.select(["a", "b"]).group_by(["a", "b"]).aggregate([])
+    return pa.table({"a": t["a"].cast(id_type), "b": t["b"].cast(id_type)})
 
 
-def dedupe_edges(edges: rd.Dataset, n_parts: int = 64) -> rd.Dataset:
+def dedupe_edges(
+    edges: rd.Dataset, n_parts: int = 64, id_type: pa.DataType = pa.string()
+) -> rd.Dataset:
     """Distributed exact dedupe of the (a, b) edge multiset.
 
     The same pair surfaces from up to every matching band (28 text +
@@ -79,108 +73,82 @@ def dedupe_edges(edges: rd.Dataset, n_parts: int = 64) -> rd.Dataset:
     clustering round so downstream work is proportional to *distinct*
     edges.  Batch-local dedupe first (cheap, kills same-partition
     copies), then one coarse hash-partition groupby with vectorized
-    within-partition dedupe."""
+    within-partition dedupe.  Ids keep their Arrow type ``id_type``."""
 
     def local(batch: pa.Table) -> pa.Table:
         # Arrow hash-distinct (C++) beats the old object-array lexsort
         # ~2× at millions of rows (r5 distributed-premium work)
-        if batch.num_rows == 0:
-            return pa.table(
-                {"a": pa.array([], type=pa.string()),
-                 "b": pa.array([], type=pa.string()),
-                 "part": pa.array([], type=pa.int32())}
-            )
-        t = batch.select(["a", "b"]).group_by(["a", "b"]).aggregate([])
-        a = np.asarray(t["a"].to_numpy(zero_copy_only=False), dtype=object)
-        b = np.asarray(t["b"].to_numpy(zero_copy_only=False), dtype=object)
+        t = distinct_edges(batch, id_type)
+        a, b = _ids(t["a"]), _ids(t["b"])
         part = (
-            (part_of_strings(a, 1 << 30).astype(np.int64) * 31
-             + part_of_strings(b, 1 << 30)) % n_parts
+            (part_of_ids(a, 1 << 30).astype(np.int64) * 31
+             + part_of_ids(b, 1 << 30)) % n_parts
         ).astype(np.int32)
-        return pa.table(
-            {
-                "a": t["a"].cast(pa.string()),
-                "b": t["b"].cast(pa.string()),
-                "part": pa.array(part, type=pa.int32()),
-            }
-        )
-
-    def per_part(group: pa.Table) -> pa.Table:
-        t = group.select(["a", "b"]).group_by(["a", "b"]).aggregate([])
-        return pa.table(
-            {"a": t["a"].cast(pa.string()), "b": t["b"].cast(pa.string())}
-        )
+        return t.append_column("part", pa.array(part, type=pa.int32()))
 
     return (
         edges.map_batches(local, batch_format="pyarrow")
         .repartition(n_parts)
         .groupby("part")
-        .map_groups(per_part, batch_format="pyarrow")
+        .map_groups(lambda g: distinct_edges(g, id_type), batch_format="pyarrow")
     )
 
 
-def init_labels(edges: rd.Dataset, n_parts: int = 64) -> rd.Dataset:
+def init_labels(
+    edges: rd.Dataset, n_parts: int = 64, id_type: pa.DataType = pa.string()
+) -> rd.Dataset:
     """Distinct nodes of the edge set, labelled with themselves."""
 
     def explode(batch: pa.Table) -> pa.Table:
-        nodes = np.concatenate(
-            [
-                np.asarray(batch["a"].to_numpy(zero_copy_only=False), dtype=object),
-                np.asarray(batch["b"].to_numpy(zero_copy_only=False), dtype=object),
-            ]
-        )
-        nodes = np.unique(nodes)
+        nodes = np.unique(np.concatenate([_ids(batch["a"]), _ids(batch["b"])]))
         return pa.table(
             {
-                "node": pa.array(nodes, type=pa.string()),
-                "part": pa.array(part_of_strings(nodes, n_parts), type=pa.int32()),
+                "node": pa.array(nodes, type=id_type),
+                "part": pa.array(part_of_ids(nodes, n_parts), type=pa.int32()),
             }
         )
 
     def distinct(group: pa.Table) -> pa.Table:
-        nodes = np.unique(
-            np.asarray(group["node"].to_numpy(zero_copy_only=False), dtype=object)
-        )
+        nodes = np.unique(_ids(group["node"]))
         return pa.table(
             {
-                "node": pa.array(nodes, type=pa.string()),
-                "label": pa.array(nodes, type=pa.string()),
+                "node": pa.array(nodes, type=id_type),
+                "label": pa.array(nodes, type=id_type),
             }
         )
 
     return map_groups_typed(
         edges.map_batches(explode, batch_format="pyarrow"),
-        "part", distinct, _EMPTY_LABELS,
+        "part", distinct, _empty_labels(id_type),
     )
 
 
-def _tag_labels(n_parts: int):
+def _tag_labels(n_parts: int, id_type: pa.DataType):
     def fn(batch: pa.Table) -> pa.Table:
-        node = np.asarray(batch["node"].to_numpy(zero_copy_only=False), dtype=object)
+        node = _ids(batch["node"])
         return pa.table(
             {
-                "node": pa.array(node, type=pa.string()),
-                "payload": batch["label"].cast(pa.string()),
+                "node": pa.array(node, type=id_type),
+                "payload": batch["label"].cast(id_type),
                 "is_label": pa.array(np.ones(len(node), dtype=bool)),
-                "part": pa.array(part_of_strings(node, n_parts), type=pa.int32()),
+                "part": pa.array(part_of_ids(node, n_parts), type=pa.int32()),
             }
         )
 
     return fn
 
 
-def _tag_edges(n_parts: int):
+def _tag_edges(n_parts: int, id_type: pa.DataType):
     def fn(batch: pa.Table) -> pa.Table:
-        a = np.asarray(batch["a"].to_numpy(zero_copy_only=False), dtype=object)
-        b = np.asarray(batch["b"].to_numpy(zero_copy_only=False), dtype=object)
+        a, b = _ids(batch["a"]), _ids(batch["b"])
         node = np.concatenate([a, b])  # both directions
         payload = np.concatenate([b, a])
         return pa.table(
             {
-                "node": pa.array(node, type=pa.string()),
-                "payload": pa.array(payload, type=pa.string()),
+                "node": pa.array(node, type=id_type),
+                "payload": pa.array(payload, type=id_type),
                 "is_label": pa.array(np.zeros(len(node), dtype=bool)),
-                "part": pa.array(part_of_strings(node, n_parts), type=pa.int32()),
+                "part": pa.array(part_of_ids(node, n_parts), type=pa.int32()),
             }
         )
 
@@ -188,14 +156,15 @@ def _tag_edges(n_parts: int):
 
 
 def _rank_codes(*arrays):
-    """Factorize object arrays into LEXICOGRAPHIC-RANK int codes.
+    """Factorize id arrays into ORDER-RANK int codes.
 
-    One hash-based factorize over the concatenation (C-speed), then an
-    object sort over only the DISTINCT values to make code order ==
-    string order — all downstream joins/mins run in int space (the
-    round-3 verdict item 9 vectorization: per-group pandas merges and
-    object-array lexsorts were the CC rounds' constant).  Returns
-    ([ranked codes per input array], sorted distinct values)."""
+    One hash-based factorize over the concatenation (C-speed), then a
+    sort over only the DISTINCT values to make code order == id order
+    (lexicographic for strings, numeric for integers) — all downstream
+    joins/mins run in int space (the round-3 verdict item 9
+    vectorization: per-group pandas merges and object-array lexsorts
+    were the CC rounds' constant).  Returns ([ranked codes per input
+    array], sorted distinct values)."""
     flat = np.concatenate(arrays)
     codes, uniq = pd.factorize(flat)
     order = np.argsort(uniq, kind="stable")
@@ -206,16 +175,14 @@ def _rank_codes(*arrays):
     return np.split(ranked, splits), uniq[order]
 
 
-def _propagate(n_parts: int):
+def _propagate(n_parts: int, id_type: pa.DataType):
     """Stage 1: within a node-partition, send my label to my neighbors.
     Vectorized: factorize once, label lookup is an int scatter+gather
     (no pandas merge)."""
 
     def fn(group: pa.Table) -> pa.Table:
-        node = np.asarray(group["node"].to_numpy(zero_copy_only=False), dtype=object)
-        payload = np.asarray(
-            group["payload"].to_numpy(zero_copy_only=False), dtype=object
-        )
+        node = _ids(group["node"])
+        payload = _ids(group["payload"])
         is_label = group["is_label"].to_numpy(zero_copy_only=False)
         (node_c, pay_c), uniq = _rank_codes(node, payload)
         # label-of-node lookup table in code space (every node with a
@@ -235,44 +202,46 @@ def _propagate(n_parts: int):
         out_node = uniq[out_node_c]
         return pa.table(
             {
-                "node": pa.array(out_node, type=pa.string()),
-                "label": pa.array(uniq[out_label_c], type=pa.string()),
+                "node": pa.array(out_node, type=id_type),
+                "label": pa.array(uniq[out_label_c], type=id_type),
                 "is_self": pa.array(is_self),
-                "part": pa.array(
-                    part_of_strings(out_node, n_parts), type=pa.int32()
-                ),
+                "part": pa.array(part_of_ids(out_node, n_parts), type=pa.int32()),
             }
         )
 
     return fn
 
 
-def _minimize(group: pa.Table) -> pa.Table:
+def _minimize(id_type: pa.DataType):
     """Stage 2: new label = min(messages ∪ {old}); flag changes.
     Min/compare run in rank-code space (one factorize, int lexsort)."""
-    node = np.asarray(group["node"].to_numpy(zero_copy_only=False), dtype=object)
-    label = np.asarray(group["label"].to_numpy(zero_copy_only=False), dtype=object)
-    is_self = group["is_self"].to_numpy(zero_copy_only=False)
-    (node_c, label_c), uniq = _rank_codes(node, label)
-    order = np.lexsort((label_c, node_c))
-    node_c, label_c, is_self = node_c[order], label_c[order], is_self[order]
-    new_run = np.ones(len(node_c), dtype=bool)
-    new_run[1:] = node_c[1:] != node_c[:-1]
-    run_id = np.cumsum(new_run) - 1
-    new_label_c = label_c[new_run][run_id]  # min label per node (label-sorted)
-    old_rows = np.flatnonzero(is_self)
-    out_new_c = new_label_c[old_rows]
-    changed = out_new_c < label_c[old_rows]
-    return pa.table(
-        {
-            "node": pa.array(uniq[node_c[old_rows]], type=pa.string()),
-            "label": pa.array(uniq[out_new_c], type=pa.string()),
-            "changed": pa.array(changed.astype(np.int64)),
-        }
-    )
+
+    def fn(group: pa.Table) -> pa.Table:
+        node = _ids(group["node"])
+        label = _ids(group["label"])
+        is_self = group["is_self"].to_numpy(zero_copy_only=False)
+        (node_c, label_c), uniq = _rank_codes(node, label)
+        order = np.lexsort((label_c, node_c))
+        node_c, label_c, is_self = node_c[order], label_c[order], is_self[order]
+        new_run = np.ones(len(node_c), dtype=bool)
+        new_run[1:] = node_c[1:] != node_c[:-1]
+        run_id = np.cumsum(new_run) - 1
+        new_label_c = label_c[new_run][run_id]  # min label per node (label-sorted)
+        old_rows = np.flatnonzero(is_self)
+        out_new_c = new_label_c[old_rows]
+        changed = out_new_c < label_c[old_rows]
+        return pa.table(
+            {
+                "node": pa.array(uniq[node_c[old_rows]], type=id_type),
+                "label": pa.array(uniq[out_new_c], type=id_type),
+                "changed": pa.array(changed.astype(np.int64)),
+            }
+        )
+
+    return fn
 
 
-def _shortcut(labels: rd.Dataset, n_parts: int) -> rd.Dataset:
+def _shortcut(labels: rd.Dataset, n_parts: int, id_type: pa.DataType) -> rd.Dataset:
     """One pointer-jumping pass: label[v] ← label[label[v]].
 
     Every label value is the id of a node that has its own label row
@@ -281,8 +250,8 @@ def _shortcut(labels: rd.Dataset, n_parts: int) -> rd.Dataset:
     request with the one self row that answers it."""
 
     def tag(batch: pa.Table) -> pa.Table:
-        node = np.asarray(batch["node"].to_numpy(zero_copy_only=False), dtype=object)
-        label = np.asarray(batch["label"].to_numpy(zero_copy_only=False), dtype=object)
+        node = _ids(batch["node"])
+        label = _ids(batch["label"])
         # self rows answer (key=node → label); request rows ask for
         # label[label[v]] (key=label, payload=the asking node v)
         key = np.concatenate([node, label])
@@ -292,18 +261,16 @@ def _shortcut(labels: rd.Dataset, n_parts: int) -> rd.Dataset:
         )
         return pa.table(
             {
-                "key": pa.array(key, type=pa.string()),
-                "payload": pa.array(payload, type=pa.string()),
+                "key": pa.array(key, type=id_type),
+                "payload": pa.array(payload, type=id_type),
                 "is_self": pa.array(is_self),
-                "part": pa.array(part_of_strings(key, n_parts), type=pa.int32()),
+                "part": pa.array(part_of_ids(key, n_parts), type=pa.int32()),
             }
         )
 
     def resolve(group: pa.Table) -> pa.Table:
-        key = np.asarray(group["key"].to_numpy(zero_copy_only=False), dtype=object)
-        payload = np.asarray(
-            group["payload"].to_numpy(zero_copy_only=False), dtype=object
-        )
+        key = _ids(group["key"])
+        payload = _ids(group["payload"])
         is_self = group["is_self"].to_numpy(zero_copy_only=False)
         (key_c, pay_c), uniq = _rank_codes(key, payload)
         ans = np.full(len(uniq), -1, dtype=np.int64)
@@ -317,14 +284,14 @@ def _shortcut(labels: rd.Dataset, n_parts: int) -> rd.Dataset:
         assert (lab >= 0).all(), "pointer-jump request missed its label row"
         return pa.table(
             {
-                "node": pa.array(uniq[req_node], type=pa.string()),
-                "label": pa.array(uniq[lab], type=pa.string()),
+                "node": pa.array(uniq[req_node], type=id_type),
+                "label": pa.array(uniq[lab], type=id_type),
             }
         )
 
     return map_groups_typed(
         labels.map_batches(tag, batch_format="pyarrow"),
-        "part", resolve, _EMPTY_LABELS,
+        "part", resolve, _empty_labels(id_type),
     )
 
 
@@ -362,36 +329,48 @@ def unionfind_driver(edges_df) -> "pd.DataFrame":
 
 
 def connected_components(
-    edges: rd.Dataset, max_rounds: int = 12, n_parts: int = 64
+    edges: rd.Dataset,
+    max_rounds: int = 12,
+    n_parts: int = 64,
+    id_type: pa.DataType = pa.string(),
 ) -> rd.Dataset:
     """(a, b) edge Dataset → (node, label) with label = min node id of
-    the component.  Raises if not converged within ``max_rounds``.
-    Empty edge sets return a typed empty (node, label) table — an
-    all-empty Dataset would otherwise lose its schema entirely."""
-    edges = edges.map_batches(_dedupe_edges, batch_format="pyarrow").materialize()
+    the component, ids of Arrow type ``id_type`` throughout.  Raises
+    if not converged within ``max_rounds``.  Empty edge sets return a
+    typed empty (node, label) table — an all-empty Dataset would
+    otherwise lose its schema entirely."""
+    edges = edges.map_batches(
+        lambda t: distinct_edges(t, id_type), batch_format="pyarrow"
+    ).materialize()
     if edges.count() == 0:
-        return rd.from_arrow(
-            pa.table(
-                {
-                    "node": pa.array([], type=pa.string()),
-                    "label": pa.array([], type=pa.string()),
-                }
-            )
-        )
-    labels = init_labels(edges, n_parts).materialize()
+        return rd.from_arrow(_empty_labels(id_type))
+    labels = init_labels(edges, n_parts, id_type).materialize()
     # materialized: the union below re-consumes the tagged edges every
-    # round — without this the tag map (string hash over both endpoint
+    # round — without this the tag map (id hash over both endpoint
     # columns) would re-execute up to max_rounds times
     tagged_edges = edges.map_batches(
-        _tag_edges(n_parts), batch_format="pyarrow"
+        _tag_edges(n_parts, id_type), batch_format="pyarrow"
     ).materialize()
+    empty_msgs = pa.table(
+        {
+            "node": pa.array([], type=id_type),
+            "label": pa.array([], type=id_type),
+            "is_self": pa.array([], type=pa.bool_()),
+            "part": pa.array([], type=pa.int32()),
+        }
+    )
+    empty_minimized = _empty_labels(id_type).append_column(
+        "changed", pa.array([], type=pa.int64())
+    )
     for _ in range(max_rounds):
-        tagged = labels.map_batches(_tag_labels(n_parts), batch_format="pyarrow").union(
-            tagged_edges
+        tagged = labels.map_batches(
+            _tag_labels(n_parts, id_type), batch_format="pyarrow"
+        ).union(tagged_edges)
+        msgs = map_groups_typed(
+            tagged, "part", _propagate(n_parts, id_type), empty_msgs
         )
-        msgs = map_groups_typed(tagged, "part", _propagate(n_parts), _EMPTY_MSGS)
         new_labels = map_groups_typed(
-            msgs, "part", _minimize, _EMPTY_MINIMIZED
+            msgs, "part", _minimize(id_type), empty_minimized
         ).materialize()
         n_changed = new_labels.sum("changed") or 0
         labels = new_labels.drop_columns(["changed"]).materialize()
@@ -399,29 +378,29 @@ def connected_components(
             return labels
         # pointer jumping: O(log d) convergence on chain-shaped
         # components (a plain-propagation round only moves 1 hop)
-        labels = _shortcut(labels, n_parts).materialize()
+        labels = _shortcut(labels, n_parts, id_type).materialize()
     raise RuntimeError(
         f"connected_components did not converge in {max_rounds} rounds"
     )
 
 
-def attach_int_labels(ids: np.ndarray, label_df) -> np.ndarray:
-    """Cluster label per int64 id (self-label where the id has no
-    component) — pure int64 searchsorted.  A ``pd.Series.map``+
-    ``fillna`` attach round-trips through float64 and silently corrupts
-    ids above 2^53 (review finding, late r4); every integer-id
-    broadcast attach goes through here instead."""
-    ids = np.asarray(ids, dtype=np.int64)
-    cluster = ids.copy()
-    if len(label_df):
-        nodes = np.asarray(label_df["node"], dtype=np.int64)
-        labels = np.asarray(label_df["label"], dtype=np.int64)
-        order = np.argsort(nodes)
-        nodes, labels = nodes[order], labels[order]
-        pos = np.searchsorted(nodes, ids).clip(max=len(nodes) - 1)
-        hit = nodes[pos] == ids
-        cluster[hit] = labels[pos[hit]]
-    return cluster
+def lookup_exact(values: np.ndarray, lut: pd.Series, default) -> np.ndarray:
+    """``lut[values]`` with ``default`` for misses: one hash lookup over
+    the native values, exact for every id type.  A ``pd.Series.map``
+    widens misses to float64 and silently corrupts int64 ids above
+    2^53 (review finding, late r4)."""
+    out = np.asarray(default, dtype=object).copy()
+    if len(lut):
+        pos = lut.index.get_indexer(pd.Index(values))
+        hit = pos >= 0
+        out[hit] = lut.to_numpy()[pos[hit]]
+    return out
+
+
+def attach_labels(ids: np.ndarray, label_df) -> np.ndarray:
+    """Cluster label per id, self-label where the id has no component."""
+    lut = pd.Series(np.asarray(label_df["label"]), index=np.asarray(label_df["node"]))
+    return lookup_exact(ids, lut, ids)
 
 
 def assign_clusters(
@@ -432,115 +411,26 @@ def assign_clusters(
     broadcast_limit: int = 2_000_000,
 ):
     """(id, cluster_id, is_representative) from a VERIFIED near-dup
-    pair table — the shared pairs→assignment tail every dedup modality
-    ends with (MinHash, embedding-cosine; the flagship pipelines have
-    their own fused variants).
+    pair table — the pairs→assignment tail of the dedup modalities
+    that verify their own pairs (MinHash, embedding-cosine).  It is
+    the SimHash dedup core's attach tail
+    (pipelines.dedup_images.attach_clusters) with every id its own
+    key: driver union-find + broadcast attach below
+    ``broadcast_limit`` pairs, distributed min-label rounds + hash join
+    above it (force with ``broadcast_limit=0``).  Ids keep their Arrow
+    type end to end.  ``ids_ds`` must carry every corpus id exactly
+    once (project upstream)."""
+    from ..pipelines.dedup_images import attach_clusters
 
-    Scale shape: the verified pair set is tiny relative to the corpus,
-    so below ``broadcast_limit`` pairs collect once, union-find runs on
-    the driver and labels attach via one broadcast map — zero extra
-    shuffles.  Above it (force with ``broadcast_limit=0``;
-    equivalence-tested via the MinHash twin) the distributed
-    min-label-propagation rounds take over on zero-padded string wire
-    ids (lexicographic min == numeric min), and labels attach via a
-    hash ``Dataset.join`` sized to the session.  ``ids_ds`` must carry
-    every corpus id exactly once (project upstream).
-    """
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
-    pairs = pairs.materialize()
     ids_ds = ids_ds.select_columns([id_col])
-
-    n_pairs = pairs.count()
-    if n_pairs == 0:
-        # no verified edges: everyone is their own representative
-        # (an all-empty Dataset loses its schema, so neither regime's
-        # generic path below can run — and neither is needed)
-        return ids_ds.map_batches(
-            lambda t: pa.table(
-                {
-                    id_col: t[id_col],
-                    "cluster_id": t[id_col].cast(pa.int64()),
-                    "is_representative": pa.array([True] * len(t)),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-    if n_pairs <= broadcast_limit:
-        edge_df = pairs.to_pandas()[["a", "b"]]
-        label_df = unionfind_driver(edge_df)
-        lm_ref = ray.put(label_df)
-
-        def attach(batch: pa.Table) -> pa.Table:
-            ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-            cluster = attach_int_labels(ids, ray.get(lm_ref))
-            return pa.table(
-                {
-                    id_col: batch[id_col],
-                    "cluster_id": pa.array(cluster, type=pa.int64()),
-                    "is_representative": pa.array(ids == cluster),
-                }
-            )
-
-        return ids_ds.map_batches(attach, batch_format="pyarrow")
-
-    # cluster-scale path: distributed CC over wire-string edges
-    pad = 20
-
-    def _check_wire(ids_np: np.ndarray) -> None:
-        if ids_np.size and ids_np.min() < 0:
-            raise ValueError(
-                f"{id_col} must be non-negative for the distributed "
-                "regime's zero-padded wire format; got min="
-                f"{ids_np.min()}"
-            )
-
-    def edges_to_wire(t: pa.Table) -> pa.Table:
-        a = t["a"].to_numpy(zero_copy_only=False)
-        b = t["b"].to_numpy(zero_copy_only=False)
-        _check_wire(a)
-        _check_wire(b)
-        return pa.table(
-            {
-                "a": pa.array(np.char.zfill(a.astype("U"), pad), type=pa.string()),
-                "b": pa.array(np.char.zfill(b.astype("U"), pad), type=pa.string()),
-            }
-        )
-
-    labels = connected_components(
-        pairs.map_batches(edges_to_wire, batch_format="pyarrow"),
+    schema = ids_ds.schema()
+    assignment, _, _ = attach_clusters(
+        ids_ds,
+        pairs.materialize(),
         n_parts=n_parts,
+        broadcast_limit=broadcast_limit,
+        id_col=id_col,
+        key_col=id_col,
+        id_type=dict(zip(schema.names, schema.types))[id_col],
     )
-    n_join = max(2, min(n_parts, int(ray.cluster_resources().get("CPU", 8)) // 2))
-
-    def ids_to_wire(t: pa.Table) -> pa.Table:
-        ids_np = t[id_col].to_numpy(zero_copy_only=False)
-        _check_wire(ids_np)
-        return pa.table(
-            {"node": pa.array(np.char.zfill(ids_np.astype("U"), pad), pa.string())}
-        )
-
-    joined = ids_ds.map_batches(ids_to_wire, batch_format="pyarrow").join(
-        labels,
-        join_type="left_outer",
-        num_partitions=n_join,
-        on=("node",),
-    )
-
-    def finish(t: pa.Table) -> pa.Table:
-        # Arrow casts zero-padded decimals directly ("0...0123" -> 123),
-        # including the all-zeros id-0 wire string
-        node = pc.cast(t["node"], pa.int64())
-        cluster = pc.cast(pc.coalesce(t["label"], t["node"]), pa.int64())
-        return pa.table(
-            {
-                id_col: node,
-                "cluster_id": cluster,
-                "is_representative": pc.equal(node, cluster),
-            }
-        )
-
-    return joined.map_batches(finish, batch_format="pyarrow")
+    return assignment

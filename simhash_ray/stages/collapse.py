@@ -1,7 +1,8 @@
 """Exact-signature collapse (dedup fast path + skew shield).
 
-Groups rows with identical ``(simhash, phash)`` and elects the minimum
-``image_id`` as the group representative.  Two jobs at once:
+Groups rows with identical signatures (the flagship's ``(simhash,
+phash)``; the single signature column of a one-space pipeline) and
+elects the minimum id as the group representative.  Two jobs at once:
 
 - the exact-dup short-circuit of SURVEY.md §2.5 ("group identical
   (simhash, phash), keep first");
@@ -23,49 +24,60 @@ import ray.data as rd
 from ..functions.hashing import part_of_ints
 
 
-def add_sig_partition(n_parts: int = 64):
-    def fn(batch: pa.Table) -> pa.Table:
+def _min_id_runs(ids: np.ndarray, keys: list) -> tuple:
+    """Sort rows by (*keys, id) and elect each identical-key run's
+    minimum id → (order, is_first_of_run, rep id per sorted row)."""
+    order = np.lexsort((ids, *reversed(keys)))
+    is_first = np.zeros(len(ids), dtype=bool)
+    is_first[:1] = True
+    for k in keys:
+        k = k[order]
+        is_first[1:] |= k[1:] != k[:-1]
+    ids = ids[order]
+    return order, is_first, ids[is_first][np.cumsum(is_first) - 1]
+
+
+def collapse_exact(
+    sig_ds: rd.Dataset,
+    n_parts: int = 64,
+    id_col: str = "image_id",
+    sig_cols: tuple = ("simhash", "phash"),
+    id_type: pa.DataType = pa.string(),
+) -> rd.Dataset:
+    """(id, *sig_cols) → (id, rep_id, *sig_cols, is_rep): rows with
+    identical signatures in every ``sig_cols`` column collapse to their
+    minimum id (in the id's own order; ids keep Arrow type
+    ``id_type``).  Filter ``is_rep`` for the distinct-signature node
+    table; the full output is the member→rep mapping."""
+    sig_cols = list(sig_cols)
+
+    def add_part(batch: pa.Table) -> pa.Table:
         part = part_of_ints(
-            n_parts,
-            batch["simhash"].to_numpy(zero_copy_only=False),
-            batch["phash"].to_numpy(zero_copy_only=False),
+            n_parts, *(batch[c].to_numpy(zero_copy_only=False) for c in sig_cols)
         )
         return batch.append_column("part", pa.array(part, type=pa.int32()))
 
-    return fn
+    def collapse_group(group: pa.Table) -> pa.Table:
+        ids = np.asarray(group[id_col].to_numpy(zero_copy_only=False))
+        sigs = [group[c].to_numpy(zero_copy_only=False) for c in sig_cols]
+        order, is_rep, rep = _min_id_runs(ids, sigs)
+        return pa.table(
+            {
+                id_col: pa.array(ids[order], type=id_type),
+                "rep_id": pa.array(rep, type=id_type),
+                **{
+                    c: pa.array(s[order], type=pa.int64())
+                    for c, s in zip(sig_cols, sigs)
+                },
+                "is_rep": pa.array(is_rep),
+            }
+        )
 
-
-def _collapse_group(group: pa.Table) -> pa.Table:
-    ids = np.asarray(group["image_id"].to_numpy(zero_copy_only=False), dtype=object)
-    sim = group["simhash"].to_numpy(zero_copy_only=False)
-    ph = group["phash"].to_numpy(zero_copy_only=False)
-    order = np.lexsort((ids, ph, sim))
-    ids, sim, ph = ids[order], sim[order], ph[order]
-    n = len(ids)
-    new_run = np.ones(n, dtype=bool)
-    new_run[1:] = (sim[1:] != sim[:-1]) | (ph[1:] != ph[:-1])
-    run_id = np.cumsum(new_run) - 1
-    rep = ids[new_run][run_id]  # first id of each run = min (ids sorted within run)
-    return pa.table(
-        {
-            "image_id": pa.array(ids, type=pa.string()),
-            "rep_id": pa.array(rep, type=pa.string()),
-            "simhash": pa.array(sim, type=pa.int64()),
-            "phash": pa.array(ph, type=pa.int64()),
-            "is_rep": pa.array(new_run),
-        }
-    )
-
-
-def collapse_exact(sig_ds: rd.Dataset, n_parts: int = 64) -> rd.Dataset:
-    """(image_id, simhash, phash) → (image_id, rep_id, simhash, phash,
-    is_rep).  Filter ``is_rep`` for the distinct-signature node table;
-    the full output is the member→rep mapping."""
     return (
-        sig_ds.map_batches(add_sig_partition(n_parts), batch_format="pyarrow")
+        sig_ds.map_batches(add_part, batch_format="pyarrow")
         .repartition(n_parts)  # sort-shuffle map tasks = input blocks
         .groupby("part")
-        .map_groups(_collapse_group, batch_format="pyarrow")
+        .map_groups(collapse_group, batch_format="pyarrow")
     )
 
 
@@ -82,19 +94,13 @@ def _bytes_rep_group(group: pa.Table, id_col: str, id_type=None) -> pa.Table:
     dig = dig.combine_chunks() if isinstance(dig, pa.ChunkedArray) else dig
     codes = dig.dictionary_encode().indices.to_numpy(zero_copy_only=False)
     ids = np.asarray(group[id_col].to_numpy(zero_copy_only=False), dtype=object)
-    order = np.lexsort((ids, codes))
-    ids_s, codes_s = ids[order], codes[order]
-    n = len(ids_s)
-    new_run = np.ones(n, dtype=bool)
-    new_run[1:] = codes_s[1:] != codes_s[:-1]
-    run_id = np.cumsum(new_run) - 1
-    rep = ids_s[new_run][run_id]
+    order, is_rep, rep = _min_id_runs(ids, [codes])
     id_type = id_type if id_type is not None else group[id_col].type
     return pa.table(
         {
-            id_col: pa.array(ids_s, type=id_type),
+            id_col: pa.array(ids[order], type=id_type),
             "rep_id": pa.array(rep, type=id_type),
-            "is_rep": pa.array(new_run),
+            "is_rep": pa.array(is_rep),
         }
     )
 

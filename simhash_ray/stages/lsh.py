@@ -31,6 +31,7 @@ import itertools
 
 import numpy as np
 import pyarrow as pa
+import ray
 import ray.data as rd
 
 from ..config import LSHConfig
@@ -68,10 +69,12 @@ def make_band_expander(
     id_col: str = "image_id",
     n_parts: int = 64,
     part_range: tuple[int, int] | None = None,
+    id_type: pa.DataType = pa.string(),
 ):
     """Build the map_batches fn: one pass emits band rows for every
     signature space (text simhash + image phash) — a single downstream
-    shuffle instead of one per space.
+    shuffle instead of one per space.  Keys come from :func:`band_keys`;
+    the ``id`` column keeps Arrow type ``id_type``.
 
     ``part_range=(lo, hi)`` emits only rows whose coarse partition
     falls in [lo, hi) — the per-shard edge checkpointing path filters
@@ -79,26 +82,13 @@ def make_band_expander(
     (each shard still computes every key, but ships ~1/n_shards of the
     rows)."""
 
-    plans = []
-    for space_id, sig_col, cfg in spaces:
-        r = 64 // cfg.n_blocks
-        mask = np.uint64((1 << r) - 1)
-        combos = _combos(cfg)
-        plans.append((space_id, sig_col, r, mask, combos))
-
     def expand(batch: pa.Table) -> pa.Table:
         ids = batch[id_col].to_numpy(zero_copy_only=False)
         out_id, out_space, out_band, out_key, out_sig = [], [], [], [], []
-        for space_id, sig_col, r, mask, combos in plans:
+        for space_id, sig_col, cfg in spaces:
             sig = batch[sig_col].to_numpy(zero_copy_only=False).view(np.uint64)
             n = len(sig)
-            blocks = [
-                (sig >> np.uint64(b * r)) & mask for b in range(max(c[-1] for c in combos) + 1)
-            ] if combos else []
-            for band_idx, combo in enumerate(combos):
-                key = np.zeros(n, dtype=np.uint64)
-                for j, b in enumerate(combo):
-                    key |= blocks[b] << np.uint64(j * r)
+            for band_idx, key in enumerate(band_keys(sig, cfg)):
                 out_id.append(ids)
                 out_space.append(np.full(n, space_id, dtype=np.int32))
                 out_band.append(np.full(n, band_idx, dtype=np.int32))
@@ -116,7 +106,7 @@ def make_band_expander(
             key, sig_out, part = key[keep], sig_out[keep], part[keep]
         return pa.table(
             {
-                "id": pa.array(ids_out, type=pa.string()),
+                "id": pa.array(ids_out, type=id_type),
                 "space": space,
                 "band": band,
                 "key": key,
@@ -190,6 +180,7 @@ def make_pair_generator(
     taus: dict[int, int] | None = None,
     exact_identical_cap: int = 0,
     first_band_cfgs: dict[int, LSHConfig] | None = None,
+    id_type: pa.DataType = pa.string(),
 ):
     """Per-coarse-partition pair generation (used via groupby('part')).
 
@@ -217,7 +208,9 @@ def make_pair_generator(
     the default path's guarantee ("missed only if EVERY shared bucket
     is degenerate") weakens to "missed if the FIRST shared bucket is
     degenerate".  Fallback (star=True) edges are never filtered, so
-    cluster CONNECTIVITY of hot masses is unaffected either way."""
+    cluster CONNECTIVITY of hot masses is unaffected either way.
+
+    Edge endpoints ``a < b`` keep the id's Arrow type ``id_type``."""
     tau_arr = None
     if taus is not None:
         tau_arr = np.full(max(taus) + 1, -1, dtype=np.int64)
@@ -230,8 +223,10 @@ def make_pair_generator(
             for sp, c in first_band_cfgs.items()
         }
 
+    empty = _empty_pairs(id_type)
+
     def pairs(group: pa.Table) -> pa.Table:
-        ids = np.asarray(group["id"].to_numpy(zero_copy_only=False), dtype=object)
+        ids = np.asarray(group["id"].to_numpy(zero_copy_only=False))
         space = group["space"].to_numpy(zero_copy_only=False)
         band = group["band"].to_numpy(zero_copy_only=False)
         key = group["key"].to_numpy(zero_copy_only=False)
@@ -258,7 +253,7 @@ def make_pair_generator(
             keep = d <= tau_arr[sp]
             ai, bi, stars = ai[keep], bi[keep], stars[keep]
             if len(ai) == 0:
-                return _EMPTY_PAIRS
+                return empty
         if fb_luts is not None and len(ai):
             # opt-in first-band emission: keep an exactly-enumerated
             # (star=False) pair only when THIS band is the first whose
@@ -275,7 +270,7 @@ def make_pair_generator(
                 keep[m] = lut[eq] == bd[m]
             ai, bi, stars = ai[keep], bi[keep], stars[keep]
             if len(ai) == 0:
-                return _EMPTY_PAIRS
+                return empty
         a, b = ids[ai], ids[bi]
         swap = a > b
         a[swap], b[swap] = b[swap], a[swap]
@@ -283,8 +278,8 @@ def make_pair_generator(
         sa[swap], sb[swap] = sig[bi][swap], sig[ai][swap]
         return pa.table(
             {
-                "a": pa.array(a, type=pa.string()),
-                "b": pa.array(b, type=pa.string()),
+                "a": pa.array(a, type=id_type),
+                "b": pa.array(b, type=id_type),
                 "sig_a": pa.array(sa, type=pa.int64()),
                 "sig_b": pa.array(sb, type=pa.int64()),
                 "space": pa.array(space[ai], type=pa.int32()),
@@ -295,16 +290,43 @@ def make_pair_generator(
     return pairs
 
 
-_EMPTY_PAIRS = pa.table(
-    {
-        "a": pa.array([], type=pa.string()),
-        "b": pa.array([], type=pa.string()),
-        "sig_a": pa.array([], type=pa.int64()),
-        "sig_b": pa.array([], type=pa.int64()),
-        "space": pa.array([], type=pa.int32()),
-        "star": pa.array([], type=pa.bool_()),
-    }
-)
+def _empty_pairs(id_type: pa.DataType) -> pa.Table:
+    return pa.table(
+        {
+            "a": pa.array([], type=id_type),
+            "b": pa.array([], type=id_type),
+            "sig_a": pa.array([], type=pa.int64()),
+            "sig_b": pa.array([], type=pa.int64()),
+            "space": pa.array([], type=pa.int32()),
+            "star": pa.array([], type=pa.bool_()),
+        }
+    )
+
+
+@ray.remote
+def _band_task(
+    sig, combo, r, tau, band_idx, pair_full_threshold, exact_identical_cap
+):
+    """One broadcast band of :func:`broadcast_candidate_edges`: key,
+    sort, pair with :func:`lsh_bucket_pairs` (the same policy as
+    ``make_pair_generator``, so the direct and distributed regimes
+    cannot diverge) and Hamming-verify; returns (lo, hi) index pairs.
+    Defined once at module scope: a ``@ray.remote`` minted per call is
+    a new function descriptor, exported again on every dedup call."""
+    key = combo_key(sig, combo, r)
+    order = np.lexsort((sig, key))
+    starts, lengths = runs(key[order])
+    ai, bi, _ = lsh_bucket_pairs(
+        starts, lengths, sig[order], band_idx, pair_full_threshold,
+        exact_identical_cap,
+    )
+    ai, bi = order[ai], order[bi]
+    d = hamming64(sig[ai], sig[bi])
+    keep = d <= tau
+    ai, bi = ai[keep], bi[keep]
+    lo = np.minimum(ai, bi)
+    hi = np.maximum(ai, bi)
+    return lo.astype(np.int64), hi.astype(np.int64)
 
 
 def broadcast_candidate_edges(
@@ -331,8 +353,6 @@ def broadcast_candidate_edges(
 
     Returns (ai, bi): deduplicated int64 index arrays (ai < bi).
     """
-    import ray
-
     for sp, arr in sig_arrays.items():
         # the dedupe below packs (ai << 32) | bi into one u64 — only
         # valid when indices fit 32 bits (the caller gates this path at
@@ -350,33 +370,17 @@ def broadcast_candidate_edges(
     # concurrent tasks beat 28 concurrent by 1.6×, so reserving 2
     # CPUs/task caps concurrency near the bandwidth sweet spot; a
     # 1-CPU session can never grant 2, so the task would wait forever.
-    @ray.remote(num_cpus=min(2, ray.cluster_resources().get("CPU", 2)))
-    def band_task(sig_ref, combo, r, tau, band_idx):
-        sig = sig_ref
-        key = combo_key(sig, combo, r)
-        order = np.lexsort((sig, key))
-        starts, lengths = runs(key[order])
-        # same policy as make_pair_generator, so the direct and
-        # distributed regimes cannot diverge
-        ai, bi, _ = lsh_bucket_pairs(
-            starts, lengths, sig[order], band_idx, pair_full_threshold,
-            exact_identical_cap,
-        )
-        ai, bi = order[ai], order[bi]
-        d = hamming64(sig[ai], sig[bi])
-        keep = d <= tau
-        ai, bi = ai[keep], bi[keep]
-        lo = np.minimum(ai, bi)
-        hi = np.maximum(ai, bi)
-        return lo.astype(np.int64), hi.astype(np.int64)
-
+    band_task = _band_task.options(
+        num_cpus=min(2, ray.cluster_resources().get("CPU", 2))
+    )
     futures = []
     for space_id, cfg in spaces:
         r = 64 // cfg.n_blocks
         for band_idx, combo in enumerate(_combos(cfg)):
             futures.append(
                 band_task.remote(
-                    refs[space_id], combo, r, taus[space_id], band_idx
+                    refs[space_id], combo, r, taus[space_id], band_idx,
+                    pair_full_threshold, exact_identical_cap,
                 )
             )
     parts = ray.get(futures)
@@ -426,6 +430,7 @@ def candidate_pairs(
     shuffle_blocks: int | None = None,
     exact_identical_cap: int = 0,
     first_band_cfgs: dict[int, LSHConfig] | None = None,
+    id_type: pa.DataType = pa.string(),
 ) -> rd.Dataset:
     """ONE all-to-all shuffle (coarse hash partition) → vectorized
     within-partition bucket pairing (+ fused verify when taus given).
@@ -443,7 +448,8 @@ def candidate_pairs(
     return map_groups_typed(
         band_rows, "part",
         make_pair_generator(
-            pair_full_threshold, taus, exact_identical_cap, first_band_cfgs
+            pair_full_threshold, taus, exact_identical_cap, first_band_cfgs,
+            id_type,
         ),
-        _EMPTY_PAIRS,
+        _empty_pairs(id_type),
     )

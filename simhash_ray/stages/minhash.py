@@ -678,9 +678,9 @@ def minhash_dedup(
     union-find runs on the driver and labels attach via one broadcast
     map — zero extra shuffles.  Above it (force with
     ``broadcast_limit=0``; equivalence-tested) the distributed
-    min-label-propagation rounds take over on zero-padded string wire
-    ids (lexicographic min == numeric min), and labels attach via a
-    hash ``Dataset.join`` sized to the session."""
+    min-label-propagation rounds take over on the native ids, and
+    labels attach via a hash ``Dataset.join``
+    (stages.cluster.assign_clusters)."""
     from .cluster import assign_clusters
 
     limit = MINHASH_BROADCAST_LIMIT if broadcast_limit is None else broadcast_limit

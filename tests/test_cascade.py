@@ -173,8 +173,8 @@ def test_tier_attribution_and_chain():
 
 def test_join_path_equivalent_to_broadcast():
     # Force the >limit composition paths (_drop_rows / _remap_keeper /
-    # _attach_final hash joins + attach_clusters' label join) on the
-    # planted fixture.  n_parts=2 and a real corpus: Ray 2.49 hash
+    # _attach_final hash joins) and the sig tiers' distributed regime
+    # on the planted fixture.  n_parts=2 and a real corpus: Ray 2.49 hash
     # joins crash on sparse sides (empty partitions lose their schema),
     # so the forced-join regime needs non-trivially-populated
     # partitions — same discipline as

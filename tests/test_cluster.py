@@ -57,16 +57,16 @@ def test_unionfind_driver_basic():
 def test_attach_int_labels_exact_above_2_53():
     """Regression (late-r4 review): the pandas map+fillna attach
     round-tripped ids through float64, corrupting ids above 2^53.
-    attach_int_labels must be exact over the full int64 range."""
+    attach_labels must be exact over the full int64 range."""
     import pandas as pd
 
-    from simhash_ray.stages.cluster import attach_int_labels
+    from simhash_ray.stages.cluster import attach_labels
 
     big = 2**53 + 1  # not representable in float64
     label_df = pd.DataFrame({"node": [5, 7], "label": [5, 5]})
     ids = np.array([5, 7, big, 2**62 + 3], dtype=np.int64)
-    out = attach_int_labels(ids, label_df)
+    out = attach_labels(ids, label_df)
     assert out.tolist() == [5, 5, big, 2**62 + 3]
     # empty label table: everyone self-labels, still exact
-    out2 = attach_int_labels(ids, label_df.iloc[:0])
+    out2 = attach_labels(ids, label_df.iloc[:0])
     assert out2.tolist() == ids.tolist()

@@ -188,3 +188,50 @@ def test_first_band_lut_properties():
                 want = bi
                 break
         assert lut[mask] == want, mask
+
+
+@pytest.mark.parametrize("space_cfg", ["text_lsh", "image_lsh"])
+def test_band_expander_keys_are_band_keys(space_cfg):
+    """The distributed regime's band rows carry exactly the keys of
+    stages.lsh.band_keys (the broadcast regime and the incremental
+    probe use it), band by band, for both default configs."""
+    from simhash_ray.stages.lsh import TEXT_SPACE, band_keys, make_band_expander
+
+    cfg = getattr(DEFAULT_CONFIG, space_cfg)
+    rng = np.random.default_rng(17)
+    sig = rng.integers(-(2**63), 2**63 - 1, 300, dtype=np.int64)
+    batch = pa.table({"image_id": [f"i{k}" for k in range(300)], "sig": sig})
+    out = make_band_expander([(TEXT_SPACE, "sig", cfg)], n_parts=16)(batch)
+    keys = band_keys(sig.view(np.uint64), cfg)
+    assert np.array_equal(
+        out["key"].to_numpy(), np.concatenate(keys).view(np.int64)
+    )
+    assert np.array_equal(
+        out["band"].to_numpy(), np.repeat(np.arange(len(keys)), len(sig))
+    )
+
+
+def test_broadcast_band_task_is_not_redefined_per_call(monkeypatch):
+    """Every ``@ray.remote`` mints a new function descriptor that Ray
+    exports again; the broadcast band task must be defined once, not
+    once per ``broadcast_candidate_edges`` call."""
+    import ray
+
+    from simhash_ray.stages.lsh import TEXT_SPACE, broadcast_candidate_edges
+
+    made = []
+    real_remote = ray.remote
+
+    def counting_remote(*args, **kwargs):
+        made.append(1)
+        return real_remote(*args, **kwargs)
+
+    monkeypatch.setattr(ray, "remote", counting_remote)
+    cfg = DEFAULT_CONFIG.text_lsh
+    sig = np.random.default_rng(2).integers(0, 2**63, 200, dtype=np.uint64)
+    for _ in range(2):
+        broadcast_candidate_edges(
+            {TEXT_SPACE: sig}, [(TEXT_SPACE, cfg)],
+            taus={TEXT_SPACE: cfg.hamming_tau},
+        )
+    assert len(made) == 0
