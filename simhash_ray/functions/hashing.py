@@ -44,6 +44,15 @@ def part_of_ints(n_parts: int, *cols: np.ndarray) -> np.ndarray:
     return (mix_ints(*cols) % np.uint64(n_parts)).astype(np.int32)
 
 
+def part_of_pairs(a: np.ndarray, b: np.ndarray, n_parts: int) -> np.ndarray:
+    """Partition of native (a, b) id pairs — THE pair-reduce partition
+    (stages/cluster.dedupe_edges and the tile count reduce share it)."""
+    return (
+        (part_of_ids(a, 1 << 30).astype(np.int64) * 31 + part_of_ids(b, 1 << 30))
+        % n_parts
+    ).astype(np.int32)
+
+
 # ---------------------------------------------------------------------------
 # Vectorized single-block MD5 (RFC 1321) over short fixed-width messages.
 # Used for the deterministic train/valid/test split: the split nibble is

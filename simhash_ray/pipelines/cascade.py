@@ -395,9 +395,22 @@ def dedup_docs_cascade(
     merged resolve through the keeper chain).  ``pairs`` short-circuits
     the MinHash encode when the caller already holds the verified pair
     table FOR THE TIER-1 SURVIVOR SET (oracle staging uses this).
+    Ids must be integers: both tiers key documents by int64 id.
     """
     from ..stages.minhash import minhash_dedup
 
+    schema = docs.schema()
+    if schema is not None and id_col in schema.names:
+        t = schema.types[schema.names.index(id_col)]
+        if not (
+            pa.types.is_integer(t) if isinstance(t, pa.DataType)
+            else np.dtype(t).kind in "iu"
+        ):
+            raise ValueError(
+                f"dedup_docs_cascade requires integer {id_col!r} ids, got "
+                f"{t}: both tiers key documents by int64 id (the exact "
+                "tier's member→keeper map and the MinHash signature table)"
+            )
     limit = BROADCAST_LIMIT if broadcast_limit is None else broadcast_limit
     narrow = docs.select_columns([id_col, text_col])
 

@@ -40,6 +40,7 @@ import ray
 import ray.data as rd
 
 from ..config import DEFAULT_CONFIG, DedupConfig, LSHConfig
+from ..functions.hashing import part_of_pairs
 from ..simhash import hamming64
 from ..stages.collapse import collapse_exact
 from ..stages.cluster import (
@@ -136,7 +137,6 @@ def dup_edges(
     spaces: list | None = None,
     part_range: tuple[int, int] | None = None,
     candidates_only: bool = False,
-    first_band_only: bool = False,
     id_col: str = "image_id",
     id_type: pa.DataType = pa.string(),
 ) -> rd.Dataset:
@@ -153,15 +153,7 @@ def dup_edges(
     ``part_range``/``candidates_only`` serve the per-shard edge
     checkpointing path: restrict banding to a coarse-partition range
     and return the batch-locally-deduped verified pairs WITHOUT the
-    global dedupe (the caller dedupes the shard union).
-
-    ``first_band_only`` (OPT-IN): emit each exactly-enumerated pair
-    only from its first-colliding band — shrinks the dedupe input
-    ~n_bands× (the 100-TB shuffle lever; A/B in BASELINE.md) at the
-    cost of the weaker star-regime recall guarantee documented on
-    ``make_pair_generator``; identical final edge set whenever no
-    band bucket exceeds OVERSIZED_EXACT_CAP distinct sigs
-    (equivalence-tested)."""
+    global dedupe (the caller dedupes the shard union)."""
     spaces, _, band_parts = _band_plan(collapsed, cfg, spaces)
     sig_cols = sorted({col for _, col, _ in spaces})
     reps = _narrow_repartition(
@@ -182,9 +174,6 @@ def dup_edges(
         pair_full_threshold=min(c.pair_full_threshold for _, _, c in spaces),
         taus={sp: c.hamming_tau for sp, _, c in spaces},
         shuffle_blocks=None,  # pre-partitioned above, narrow side
-        first_band_cfgs=(
-            {sp: c for sp, _, c in spaces} if first_band_only else None
-        ),
         id_type=id_type,
     )
     if candidates_only:
@@ -390,7 +379,6 @@ def tile_dup_pairs(
     lsh_cfg: LSHConfig | None = None,
     pair_full_threshold: int | None = None,
     exact_identical_pairs_cap: int | None = None,
-    first_band_only: bool = False,
 ) -> rd.Dataset:
     """Crop/occlusion-robust image near-dup pairs: a pair is a dup iff
     ≥ ``k_min`` of the 4 quadrant hashes (stages/multimodal.TilePhash)
@@ -460,8 +448,7 @@ def tile_dup_pairs(
             "using the distributed banding regime", n, limit,
         )
         return _tile_pairs_distributed(
-            sigs, n, tau, k_min, cfg, threshold, exact_identical_cap=id_cap,
-            first_band_only=first_band_only,
+            sigs, n, tau, k_min, cfg, threshold, exact_identical_cap=id_cap
         )
     ids, arrs, ai, bi = _tile_candidates(
         sigs.to_pandas(), tau, cfg, threshold, exact_identical_cap=id_cap
@@ -485,15 +472,14 @@ def _tile_pairs_distributed(
     k_min: int,
     cfg: LSHConfig,
     pair_full_threshold: int,
-    n_parts: int | None = None,
     exact_identical_cap: int = 0,
-    first_band_only: bool = False,
 ) -> rd.Dataset:
     """Cluster-scale regime of tile_dup_pairs: the 4 tile columns band
     as 4 LSH spaces through ONE bucket groupby with fused per-space
-    Hamming verify (the flagship's dup_edges shape), then ONE hashed
-    (a, b) groupby dedups band multiplicity per space and counts the
-    distinct agreeing tiles.  Narrow rows only; nothing collects."""
+    Hamming verify (the flagship's dup_edges shape), then ONE (a, b)
+    groupby on the pair-reduce partition (functions/hashing.part_of_pairs,
+    as cluster.dedupe_edges) counts the distinct agreeing tiles per
+    pair.  Narrow rows only; nothing collects."""
     from ..stages.base import map_groups_typed
 
     spaces = [(t, f"t{t}", cfg) for t in range(4)]
@@ -507,71 +493,29 @@ def _tile_pairs_distributed(
         pair_full_threshold=pair_full_threshold,
         taus={t: tau for t in range(4)},
         exact_identical_cap=exact_identical_cap,
-        # per-tile-space first-band emission (opt-in, same caveat as
-        # dup_edges): the (a,b,space) dedupe groupby sees one row per
-        # colliding SPACE instead of up to 6 per space — n_tiles_close
-        # (distinct-space count) is unchanged
-        first_band_cfgs=(
-            {t: cfg for t in range(4)} if first_band_only else None
-        ),
     )
     pair_parts = choose_n_parts(n)
 
     def add_part(batch: pa.Table) -> pa.Table:
-        a = batch["a"].to_numpy(zero_copy_only=False)
-        b = batch["b"].to_numpy(zero_copy_only=False)
-        import pandas as pd
-
-        key = pd.util.hash_array(
-            np.char.add(np.char.add(a.astype(str), "\x00"), b.astype(str))
+        part = part_of_pairs(
+            batch["a"].to_numpy(zero_copy_only=False),
+            batch["b"].to_numpy(zero_copy_only=False),
+            pair_parts,
         )
-        part = (key % np.uint64(pair_parts)).astype(np.int32)
-        return pa.table(
-            {
-                "a": batch["a"],
-                "b": batch["b"],
-                "space": batch["space"],
-                "part": pa.array(part, type=pa.int32()),
-            }
+        return batch.select(["a", "b", "space"]).append_column(
+            "part", pa.array(part, type=pa.int32())
         )
 
     def count_tiles(group: pa.Table) -> pa.Table:
-        a = group["a"].to_numpy(zero_copy_only=False).astype(object)
-        b = group["b"].to_numpy(zero_copy_only=False).astype(object)
-        sp = group["space"].to_numpy(zero_copy_only=False)
-        # dedupe (a, b, space) band multiplicity, then count distinct
-        # spaces per pair — one factorize + lexsort, no Python loops
-        import pandas as pd
-
-        # exact pair identity: factorize the joined id strings (a u64
-        # hash here would let a collision merge two distinct pairs)
-        codes, _ = pd.factorize(
-            np.char.add(np.char.add(a.astype(str), "\x00"), b.astype(str))
-        )
-        comp = codes.astype(np.int64) * 8 + sp.astype(np.int64)
-        uniq = np.unique(comp)
-        pair_code = uniq // 8
-        heads = np.ones(len(uniq), dtype=bool)
-        heads[1:] = pair_code[1:] != pair_code[:-1]
-        counts = np.diff(np.append(np.flatnonzero(heads), len(uniq)))
-        keep_pair = counts >= k_min
-        if not keep_pair.any():
-            return _EMPTY_TILE_PAIRS
-        # map each comp value back to one representative input row
-        order = np.argsort(comp, kind="stable")
-        comp_sorted = comp[order]
-        firsts = np.ones(len(comp_sorted), dtype=bool)
-        firsts[1:] = comp_sorted[1:] != comp_sorted[:-1]
-        first_rows = order[firsts]  # one row per distinct (pair, space)
-        head_rows = first_rows[heads]  # one row per distinct pair
-        sel = head_rows[keep_pair]
+        # band multiplicity collapses inside count_distinct: the
+        # distinct-space count per pair IS n_tiles_close
+        t = group.group_by(["a", "b"]).aggregate([("space", "count_distinct")])
+        t = t.filter(pc.greater_equal(t["space_count_distinct"], k_min))
         return pa.table(
             {
-                "a": pa.array(a[sel], type=pa.string()),
-                "b": pa.array(b[sel], type=pa.string()),
-                "n_tiles_close": pa.array(
-                    counts[keep_pair], type=pa.int64()
-                ),
+                "a": t["a"].cast(pa.string()),
+                "b": t["b"].cast(pa.string()),
+                "n_tiles_close": t["space_count_distinct"].cast(pa.int64()),
             }
         )
 

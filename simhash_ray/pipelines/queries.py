@@ -2854,14 +2854,10 @@ def _minhash_staged_pairs(
     per-query staged parquet; returns (docs, verified_pairs).
     ``encoder="oph"`` swaps in the one-permutation-hashing signature
     producer (stages/oph.py) — downstream is byte-identical."""
-    from ..stages.base import map_groups_typed
     from ..stages.minhash import (
-        _EMPTY_PAIRS,
-        _dedupe_pairs,
+        _banded_candidate_pairs,
         _sig_matrix,
         _verify_broadcast,
-        make_band_expander,
-        make_pair_generator,
         minhash_signatures,
     )
     from ..stages.oph import oph_signatures
@@ -2883,10 +2879,7 @@ def _minhash_staged_pairs(
         )
 
     _stage(sig_ds.map_batches(unpack, batch_format="pyarrow"), sig_name)
-    bands = sig_ds.map_batches(make_band_expander(64, 16, 64), batch_format="pyarrow")
-    pairs = _dedupe_pairs(
-        map_groups_typed(bands, "part", make_pair_generator(512, 64), _EMPTY_PAIRS)
-    ).materialize()
+    pairs = _banded_candidate_pairs(sig_ds, 64, 16, 64, 512).materialize()
     _stage(
         pairs.map_batches(lambda t: t.select(["a", "b"]), batch_format="pyarrow"),
         cand_name,
@@ -3109,7 +3102,6 @@ def q_doc_minhash_bbit_pairs(sf_dir: str):
     the deduped candidate set; the oracle re-joins lanes per pair,
     recounts agreement and re-applies the integer threshold
     den·(agree·2^b − n) ≥ num·n·(2^b − 1)."""
-    from ..stages.base import map_groups_typed
     from ..stages.bbit import (
         bbit_verify_broadcast,
         pack_bbit,
@@ -3117,11 +3109,8 @@ def q_doc_minhash_bbit_pairs(sf_dir: str):
         words_per_row,
     )
     from ..stages.minhash import (
-        _EMPTY_PAIRS,
-        _dedupe_pairs,
+        _banded_candidate_pairs,
         _sig_matrix,
-        make_band_expander,
-        make_pair_generator,
         minhash_signatures,
     )
 
@@ -3143,10 +3132,7 @@ def q_doc_minhash_bbit_pairs(sf_dir: str):
         )
 
     _stage(packed.map_batches(unpack, batch_format="pyarrow"), "minhash_bbit_sigs")
-    bands = sig_ds.map_batches(make_band_expander(64, 16, 64), batch_format="pyarrow")
-    pairs = _dedupe_pairs(
-        map_groups_typed(bands, "part", make_pair_generator(512, 64), _EMPTY_PAIRS)
-    ).materialize()
+    pairs = _banded_candidate_pairs(sig_ds, 64, 16, 64, 512).materialize()
     _stage(
         pairs.map_batches(lambda t: t.select(["a", "b"]), batch_format="pyarrow"),
         "minhash_bbit_cands",
@@ -3227,13 +3213,9 @@ def q_doc_dedup_cascade(sf_dir: str):
     re-runs the verify (signature-agreement ≥ θ), the recursive-CTE
     connected components over the survivor set, AND the cross-tier
     keeper-chain composition + tier attribution."""
-    from ..stages.base import map_groups_typed
     from ..stages.minhash import (
-        _EMPTY_PAIRS,
-        _dedupe_pairs,
+        _banded_candidate_pairs,
         _sig_matrix,
-        make_band_expander,
-        make_pair_generator,
         minhash_signatures,
     )
     from .cascade import _drop_rows, dedup_docs_cascade
@@ -3265,10 +3247,7 @@ def q_doc_dedup_cascade(sf_dir: str):
         )
 
     _stage(sig_ds.map_batches(unpack, batch_format="pyarrow"), "cascade_doc_sigs")
-    bands = sig_ds.map_batches(make_band_expander(64, 16, 64), batch_format="pyarrow")
-    cands = _dedupe_pairs(
-        map_groups_typed(bands, "part", make_pair_generator(512, 64), _EMPTY_PAIRS)
-    )
+    cands = _banded_candidate_pairs(sig_ds, 64, 16, 64, 512)
     _stage(
         cands.map_batches(lambda t: t.select(["a", "b"]), batch_format="pyarrow"),
         "cascade_doc_cands",

@@ -341,7 +341,7 @@ def lsh_cosine_candidates(
     (HyperplaneSigner actor pool) → narrow band rows (the u64 signature
     splits into ``n_bands`` contiguous bit-chunks; OR-of-bands rule) →
     one bucket groupby (reusing the MinHash pair generator with its
-    star skew-guard) → global pair dedupe.  Returns (a, b, star).
+    star skew-guard) → the pair reduce.  Returns (a, b).
     ``n_bands=None`` sizes the bands to the corpus
     (:func:`choose_cosine_bands`); ``center=True`` signs the
     MEAN-CENTERED normalized vectors (deterministic sampled centroid,
@@ -356,7 +356,8 @@ def lsh_cosine_candidates(
     verify in DuckDB."""
     from ..functions.hashing import part_of_ints
     from .base import map_groups_typed
-    from .minhash import _EMPTY_PAIRS, _dedupe_pairs, make_pair_generator
+    from .cluster import dedupe_edges
+    from .minhash import _EMPTY_PAIRS, make_pair_generator
 
     # materialize first: a lazy input (e.g. bench's decode→embed chain)
     # would otherwise re-execute for the count, the take(1), the center
@@ -405,12 +406,10 @@ def lsh_cosine_candidates(
         )
 
     bands = sig_ds.map_batches(expand, batch_format="pyarrow")
-    return _dedupe_pairs(
-        map_groups_typed(
-            bands, "part", make_pair_generator(pair_full_threshold, n_parts),
-            _EMPTY_PAIRS,
-        )
+    pairs = map_groups_typed(
+        bands, "part", make_pair_generator(pair_full_threshold), _EMPTY_PAIRS
     )
+    return dedupe_edges(pairs.select_columns(["a", "b"]), n_parts, pa.int64())
 
 
 def collapse_identical_vectors(

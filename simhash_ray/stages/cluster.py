@@ -34,7 +34,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
-from ..functions.hashing import part_of_ids
+from ..functions.hashing import part_of_ids, part_of_pairs
 from .base import map_groups_typed
 
 
@@ -66,7 +66,9 @@ def distinct_edges(batch: pa.Table, id_type: pa.DataType) -> pa.Table:
 def dedupe_edges(
     edges: rd.Dataset, n_parts: int = 64, id_type: pa.DataType = pa.string()
 ) -> rd.Dataset:
-    """Distributed exact dedupe of the (a, b) edge multiset.
+    """Distributed exact dedupe of the (a, b) edge multiset — the one
+    pair reduce of every candidate-pair operator (SimHash, MinHash,
+    OPH, similarity join, cosine LSH, prefix-Jaccard, substring SA).
 
     The same pair surfaces from up to every matching band (28 text +
     15 image) — collapse duplicates BEFORE any driver collect or
@@ -79,11 +81,7 @@ def dedupe_edges(
         # Arrow hash-distinct (C++) beats the old object-array lexsort
         # ~2× at millions of rows (r5 distributed-premium work)
         t = distinct_edges(batch, id_type)
-        a, b = _ids(t["a"]), _ids(t["b"])
-        part = (
-            (part_of_ids(a, 1 << 30).astype(np.int64) * 31
-             + part_of_ids(b, 1 << 30)) % n_parts
-        ).astype(np.int32)
+        part = part_of_pairs(_ids(t["a"]), _ids(t["b"]), n_parts)
         return t.append_column("part", pa.array(part, type=pa.int32()))
 
     return (

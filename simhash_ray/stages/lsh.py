@@ -137,49 +137,21 @@ def lsh_bucket_pairs(
     full = lengths <= pair_full_threshold
     ai, bi = all_pairs(starts[full], lengths[full])
     parts = [(ai, bi, np.zeros(len(ai), dtype=bool))]
-    first_band = np.broadcast_to(np.asarray(band) == 0, lengths.shape)
+    band0 = np.broadcast_to(np.asarray(band) == 0, lengths.shape)
     for r in np.flatnonzero(~full):  # rare oversized buckets
         s, g = starts[r], lengths[r]
         seg = s + np.argsort(sig[s : s + g], kind="stable")
         parts.append(oversized_bucket_pairs(
             seg, sig[seg], exact_identical_cap,
-            emit_identical=bool(first_band[r]),
+            emit_identical=bool(band0[r]),
         ))
     return tuple(np.concatenate(p) for p in zip(*parts))
-
-
-def _first_band_lut(cfg: LSHConfig) -> np.ndarray:
-    """LUT over block-equality bitmasks → the FIRST band index whose
-    combo blocks are all equal (−1 if none — unreachable for a pair
-    that actually collided in some bucket).  Powers the opt-in
-    first-band pair emission: a pair within τ collides in up to every
-    matching band, and emitting it only from its first-colliding band
-    removes the ~n_bands× duplication the edge dedupe otherwise pays."""
-    combos = _combos(cfg)
-    lut = np.full(1 << cfg.n_blocks, -1, dtype=np.int64)
-    for mask in range(1 << cfg.n_blocks):
-        for bi, combo in enumerate(combos):
-            if all((mask >> b) & 1 for b in combo):
-                lut[mask] = bi
-                break
-    return lut
-
-
-def _block_eq_mask(x: np.ndarray, n_blocks: int) -> np.ndarray:
-    """Per-element bitmask of which r-bit blocks of the XOR are zero."""
-    r = 64 // n_blocks
-    bmask = np.uint64((1 << r) - 1)
-    eq = np.zeros(len(x), dtype=np.int64)
-    for k in range(n_blocks):
-        eq |= (((x >> np.uint64(k * r)) & bmask) == 0).astype(np.int64) << k
-    return eq
 
 
 def make_pair_generator(
     pair_full_threshold: int = 256,
     taus: dict[int, int] | None = None,
     exact_identical_cap: int = 0,
-    first_band_cfgs: dict[int, LSHConfig] | None = None,
     id_type: pa.DataType = pa.string(),
 ):
     """Per-coarse-partition pair generation (used via groupby('part')).
@@ -196,32 +168,12 @@ def make_pair_generator(
     the band rows MUST have a τ entry (validated; a silent default of
     0 would discard every pair of that space).
 
-    ``first_band_cfgs`` (space → LSHConfig; OPT-IN, default off): emit
-    each exactly-enumerated pair only from its FIRST-colliding band —
-    the pair's block-equality mask + a per-space LUT decide locally,
-    no coordination.  Removes the ~n_bands× duplicate-pair volume the
-    downstream dedupe otherwise shuffles (the 100-TB lever; A/B in
-    BASELINE.md).  Exactness caveat, which is why it is opt-in: a
-    within-τ pair whose FIRST-colliding band bucket exceeded
-    OVERSIZED_EXACT_CAP distinct sigs (star regime) is not enumerated
-    there, and with the filter on, later small buckets skip it too —
-    the default path's guarantee ("missed only if EVERY shared bucket
-    is degenerate") weakens to "missed if the FIRST shared bucket is
-    degenerate".  Fallback (star=True) edges are never filtered, so
-    cluster CONNECTIVITY of hot masses is unaffected either way.
-
     Edge endpoints ``a < b`` keep the id's Arrow type ``id_type``."""
     tau_arr = None
     if taus is not None:
         tau_arr = np.full(max(taus) + 1, -1, dtype=np.int64)
         for k, v in taus.items():
             tau_arr[k] = v
-    fb_luts = None
-    if first_band_cfgs is not None:
-        fb_luts = {
-            sp: (_first_band_lut(c), c.n_blocks)
-            for sp, c in first_band_cfgs.items()
-        }
 
     empty = _empty_pairs(id_type)
 
@@ -251,23 +203,6 @@ def make_pair_generator(
                 sig[ai].view(np.uint64), sig[bi].view(np.uint64)
             )
             keep = d <= tau_arr[sp]
-            ai, bi, stars = ai[keep], bi[keep], stars[keep]
-            if len(ai) == 0:
-                return empty
-        if fb_luts is not None and len(ai):
-            # opt-in first-band emission: keep an exactly-enumerated
-            # (star=False) pair only when THIS band is the first whose
-            # combo blocks all agree; fallback edges pass untouched
-            sp = space[ai]
-            bd = band[ai]
-            x = sig[ai].view(np.uint64) ^ sig[bi].view(np.uint64)
-            keep = np.ones(len(ai), dtype=bool)
-            for s_id, (lut, n_blocks) in fb_luts.items():
-                m = (sp == s_id) & ~stars
-                if not m.any():
-                    continue
-                eq = _block_eq_mask(x[m], n_blocks)
-                keep[m] = lut[eq] == bd[m]
             ai, bi, stars = ai[keep], bi[keep], stars[keep]
             if len(ai) == 0:
                 return empty
@@ -429,7 +364,6 @@ def candidate_pairs(
     taus: dict[int, int] | None = None,
     shuffle_blocks: int | None = None,
     exact_identical_cap: int = 0,
-    first_band_cfgs: dict[int, LSHConfig] | None = None,
     id_type: pa.DataType = pa.string(),
 ) -> rd.Dataset:
     """ONE all-to-all shuffle (coarse hash partition) → vectorized
@@ -448,8 +382,7 @@ def candidate_pairs(
     return map_groups_typed(
         band_rows, "part",
         make_pair_generator(
-            pair_full_threshold, taus, exact_identical_cap, first_band_cfgs,
-            id_type,
+            pair_full_threshold, taus, exact_identical_cap, id_type
         ),
         _empty_pairs(id_type),
     )

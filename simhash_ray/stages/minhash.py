@@ -36,6 +36,7 @@ import ray.data as rd
 from ..functions.hashing import part_of_ints
 from ..functions.tokenize import tokens_flat
 from .buckets import runs
+from .cluster import dedupe_edges
 from .lsh import lsh_bucket_pairs
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)
@@ -284,27 +285,17 @@ _EMPTY_PAIRS = pa.table(
         "a": pa.array([], type=pa.int64()),
         "b": pa.array([], type=pa.int64()),
         "star": pa.array([], type=pa.bool_()),
-        "part": pa.array([], type=pa.int32()),
-    }
-)
-
-_EMPTY_DEDUPED = pa.table(
-    {
-        "a": pa.array([], type=pa.int64()),
-        "b": pa.array([], type=pa.int64()),
-        "star": pa.array([], type=pa.bool_()),
     }
 )
 
 
-def make_pair_generator(pair_full_threshold: int = 512, n_parts: int = 64):
+def make_pair_generator(pair_full_threshold: int = 512):
     """Per-coarse-partition candidate generation over narrow band rows.
 
     Runs ≤ ``pair_full_threshold`` emit all C(g,2) pairs; larger runs
     (hot buckets) get the LSH oversized policy — exact pairs up to
     ``OVERSIZED_EXACT_CAP`` members, an O(g) star to the bucket's min id
-    beyond — flagged in the ``star`` column.  ``part`` re-keys pairs
-    for the downstream global dedupe groupby."""
+    beyond — flagged in the ``star`` column."""
 
     def pairs(group: pa.Table) -> pa.Table:
         ids = group["id"].to_numpy(zero_copy_only=False)
@@ -328,41 +319,10 @@ def make_pair_generator(pair_full_threshold: int = 512, n_parts: int = 64):
                 "a": pa.array(lo, type=pa.int64()),
                 "b": pa.array(hi, type=pa.int64()),
                 "star": pa.array(stars, type=pa.bool_()),
-                "part": pa.array(part_of_ints(n_parts, lo, hi), type=pa.int32()),
             }
         )
 
     return pairs
-
-
-def _dedupe_pairs(pairs: rd.Dataset) -> rd.Dataset:
-    """Global (a, b) dedupe: the same pair collides in up to every
-    band.  One groupby on the pair-hash partition, vectorized run
-    dedupe inside.  Star-flag semantics: the kept row is the non-star
-    one when ANY band produced the pair via full pairing (lexsort
-    ascending + keep-first), i.e. ``star`` is effectively AND-combined
-    across bands — a surviving ``star=True`` means the pair was ONLY
-    ever seen through the hot-bucket star fallback."""
-
-    def per_part(group: pa.Table) -> pa.Table:
-        a = group["a"].to_numpy(zero_copy_only=False)
-        b = group["b"].to_numpy(zero_copy_only=False)
-        star = group["star"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((star, b, a))  # non-star first within a pair
-        a, b, star = a[order], b[order], star[order]
-        keep = np.ones(len(a), dtype=bool)
-        keep[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-        return pa.table(
-            {
-                "a": pa.array(a[keep], type=pa.int64()),
-                "b": pa.array(b[keep], type=pa.int64()),
-                "star": pa.array(star[keep], type=pa.bool_()),
-            }
-        )
-
-    from .base import map_groups_typed
-
-    return map_groups_typed(pairs, "part", per_part, _EMPTY_DEDUPED)
 
 
 def _verify_broadcast(
@@ -479,17 +439,17 @@ def _banded_candidate_pairs(
     n_parts: int,
     pair_full_threshold: int,
 ) -> rd.Dataset:
-    """Deduped (a, b, star) LSH candidate pairs from a signature
-    table: band expand → one bucket groupby → pair dedupe groupby."""
+    """Deduped (a, b) LSH candidate pairs from a signature table: band
+    expand → one bucket groupby → the pair reduce (cluster.dedupe_edges)."""
     from .base import map_groups_typed
 
     bands = sig_ds.map_batches(
         make_band_expander(n_perm, n_bands, n_parts), batch_format="pyarrow"
     )
     pairs = map_groups_typed(
-        bands, "part", make_pair_generator(pair_full_threshold, n_parts), _EMPTY_PAIRS
+        bands, "part", make_pair_generator(pair_full_threshold), _EMPTY_PAIRS
     )
-    return _dedupe_pairs(pairs)
+    return dedupe_edges(pairs.select_columns(["a", "b"]), n_parts, pa.int64())
 
 
 def minhash_candidate_pairs(
@@ -503,7 +463,7 @@ def minhash_candidate_pairs(
     n_parts: int = 64,
     pair_full_threshold: int = 512,
 ) -> rd.Dataset:
-    """Deduped (a, b, star) MinHash-LSH candidate pairs WITHOUT any
+    """Deduped (a, b) MinHash-LSH candidate pairs WITHOUT any
     verify — the recall-bearing prefix shared by the Jaccard-estimate
     verify (:func:`minhash_dup_pairs`) and the exact edit-distance
     verify (:func:`editdist_dup_pairs`).  The signature table stays
@@ -533,8 +493,8 @@ def minhash_dup_pairs(
 ) -> rd.Dataset:
     """(a, b, est_jaccard) candidate-verified near-dup pairs.
 
-    encode once → narrow band rows → one bucket groupby → pair dedupe
-    groupby → signature-rejoin verify (broadcast or hash join)."""
+    encode once → narrow band rows → one bucket groupby → pair reduce
+    → signature-rejoin verify (broadcast or hash join)."""
     limit = MINHASH_BROADCAST_LIMIT if broadcast_limit is None else broadcast_limit
     sig_ds = minhash_signatures(
         docs, text_col, id_col, shingle_k, n_perm, concurrency
@@ -946,7 +906,7 @@ def editdist_dup_pairs(
 _cross_cap_warned = False
 
 
-def make_cross_pair_generator(n_parts: int = 64, bucket_pair_cap: int = 1 << 20):
+def make_cross_pair_generator(bucket_pair_cap: int = 1 << 20):
     """Per-coarse-partition CROSS-SIDE candidate generation: band rows
     carry a boolean ``left`` flag; within each (band, key) run only
     left×right pairs are emitted.  A similarity JOIN must not pay for
@@ -1018,7 +978,6 @@ def make_cross_pair_generator(n_parts: int = 64, bucket_pair_cap: int = 1 << 20)
                 "a": pa.array(a, type=pa.int64()),
                 "b": pa.array(b, type=pa.int64()),
                 "star": pa.array(np.zeros(len(a), dtype=bool)),
-                "part": pa.array(part_of_ints(n_parts, a, b), type=pa.int32()),
             }
         )
 
@@ -1051,18 +1010,17 @@ def similarity_join_candidates(
     from two (id, sig) signature tables with DISJOINT id spaces
     (caller contract; an in-bucket collision raises).  Shared shape
     with the dedup path: band expand (side flag riding the ~25 B band
-    rows) → one bucket groupby → cross-side pairing → pair-dedupe
-    groupby."""
+    rows) → one bucket groupby → cross-side pairing → the pair reduce
+    (cluster.dedupe_edges keeps each pair's orientation)."""
     from .base import map_groups_typed
 
     bands = _bands_with_side(
         left_sigs, True, n_perm, n_bands, n_parts
     ).union(_bands_with_side(right_sigs, False, n_perm, n_bands, n_parts))
     pairs = map_groups_typed(
-        bands, "part", make_cross_pair_generator(n_parts, bucket_pair_cap),
-        _EMPTY_PAIRS,
+        bands, "part", make_cross_pair_generator(bucket_pair_cap), _EMPTY_PAIRS
     )
-    return _dedupe_pairs(pairs)
+    return dedupe_edges(pairs.select_columns(["a", "b"]), n_parts, pa.int64())
 
 
 def minhash_similarity_join(

@@ -48,14 +48,11 @@ import ray.data as rd
 
 from .minhash import (
     MINHASH_BROADCAST_LIMIT,
-    _EMPTY_PAIRS,
-    _dedupe_pairs,
+    _banded_candidate_pairs,
     _pack_sig_column,
     _shingle_hashes_flat,
     _verify_broadcast,
     _verify_join,
-    make_band_expander,
-    make_pair_generator,
 )
 
 _U64_MAX = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -206,19 +203,13 @@ def oph_dup_pairs(
     verify, broadcast below the bound / hash join above) is byte-for-
     byte the audited classic-MinHash path; only the signature table's
     producer differs."""
-    from .base import map_groups_typed
-
     limit = MINHASH_BROADCAST_LIMIT if broadcast_limit is None else broadcast_limit
     sig_ds = oph_signatures(
         docs, text_col, id_col, shingle_k, n_perm, concurrency
     ).materialize()
-    bands = sig_ds.map_batches(
-        make_band_expander(n_perm, n_bands, n_parts), batch_format="pyarrow"
+    pairs = _banded_candidate_pairs(
+        sig_ds, n_perm, n_bands, n_parts, pair_full_threshold
     )
-    pairs = map_groups_typed(
-        bands, "part", make_pair_generator(pair_full_threshold, n_parts), _EMPTY_PAIRS
-    )
-    pairs = _dedupe_pairs(pairs)
     if sig_ds.count() <= limit:
         return _verify_broadcast(pairs, sig_ds, theta, n_perm)
     return _verify_join(pairs, sig_ds, theta, n_perm, n_parts)

@@ -36,7 +36,7 @@ Distributed shape (narrow rows only, no dense matrix):
    raises with the standing advice: collapse exact duplicates first
    (stages/collapse), since identical-set classes defeat EVERY exact
    pair enumerator;
-6. one pair-dedupe groupby;
+6. the pair reduce (stages/cluster.dedupe_edges);
 7. exact verify — intersection sizes computed by a fully vectorized
    sorted-merge over the pairs' flat token-hash sets, either against a
    ``ray.put`` broadcast of the corpus set table (flat u64 arrays —
@@ -62,6 +62,7 @@ from ..functions.hashing import part_of_ints
 from ..functions.tokenize import tokens_flat
 from .base import map_groups_typed
 from .buckets import all_pairs, runs
+from .cluster import dedupe_edges
 
 _EMPTY_DT = pa.table(
     {
@@ -79,11 +80,7 @@ _EMPTY_PREFIX = pa.table(
     }
 )
 _EMPTY_PAIRS = pa.table(
-    {
-        "a": pa.array([], type=pa.int64()),
-        "b": pa.array([], type=pa.int64()),
-        "part": pa.array([], type=pa.int32()),
-    }
+    {"a": pa.array([], type=pa.int64()), "b": pa.array([], type=pa.int64())}
 )
 _EMPTY_OUT = pa.table(
     {
@@ -327,35 +324,11 @@ def prefix_jaccard_pairs(
         a, b = doc[ai[ok]], doc[bi[ok]]
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         return pa.table(
-            {
-                "a": pa.array(lo, type=pa.int64()),
-                "b": pa.array(hi, type=pa.int64()),
-                "part": pa.array(part_of_ints(n_parts, lo, hi), type=pa.int32()),
-            }
+            {"a": pa.array(lo, type=pa.int64()), "b": pa.array(hi, type=pa.int64())}
         )
 
     raw_pairs = map_groups_typed(prefixes, "part", bucket_pairs, _EMPTY_PAIRS)
-
-    def dedupe(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return _EMPTY_PAIRS
-        a = group["a"].to_numpy(zero_copy_only=False)
-        b = group["b"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((b, a))
-        a, b = a[order], b[order]
-        keep = np.ones(len(a), dtype=bool)
-        keep[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-        return pa.table(
-            {
-                "a": pa.array(a[keep], type=pa.int64()),
-                "b": pa.array(b[keep], type=pa.int64()),
-                "part": pa.array(
-                    part_of_ints(n_parts, a[keep], b[keep]), type=pa.int32()
-                ),
-            }
-        )
-
-    pairs = map_groups_typed(raw_pairs, "part", dedupe, _EMPTY_PAIRS)
+    pairs = dedupe_edges(raw_pairs, n_parts, pa.int64())
 
     if broadcast_regime:
         return _verify_pairs_broadcast(pairs, dt, theta_num, theta_den)

@@ -734,6 +734,7 @@ def sa_max_span_pairs(
     broadcast below ``broadcast_limit`` docs; the per-pair SA kernel
     verifies and measures.  Candidates ≪ corpus by construction."""
     from .base import map_groups_typed
+    from .cluster import dedupe_edges
 
     def explode(batch: pa.Table) -> pa.Table:
         if not pa.types.is_integer(batch[id_col].type):
@@ -757,11 +758,7 @@ def sa_max_span_pairs(
         )
 
     _PAIRS_EMPTY = pa.table(
-        {
-            "a": pa.array([], type=pa.int64()),
-            "b": pa.array([], type=pa.int64()),
-            "part": pa.array([], type=pa.int32()),
-        }
+        {"a": pa.array([], type=pa.int64()), "b": pa.array([], type=pa.int64())}
     )
 
     def window_pairs(group: pa.Table) -> pa.Table:
@@ -772,30 +769,16 @@ def sa_max_span_pairs(
         a = (packed >> np.uint64(32)).astype(np.int64)
         b = (packed & np.uint64(0xFFFFFFFF)).astype(np.int64)
         return pa.table(
-            {
-                "a": pa.array(a, type=pa.int64()),
-                "b": pa.array(b, type=pa.int64()),
-                "part": pa.array(part_of_ints(n_parts, a, b), type=pa.int32()),
-            }
-        )
-
-    def pair_dedupe(group: pa.Table) -> pa.Table:
-        t = group.select(["a", "b"]).group_by(["a", "b"]).aggregate([])
-        return pa.table(
-            {"a": t["a"].cast(pa.int64()), "b": t["b"].cast(pa.int64())}
+            {"a": pa.array(a, type=pa.int64()), "b": pa.array(b, type=pa.int64())}
         )
 
     narrow = docs.select_columns([id_col, text_col])
-    cands = map_groups_typed(
-        narrow.map_batches(explode, batch_format="pyarrow"),
-        "part", window_pairs, _PAIRS_EMPTY,
-    )
-    cands = map_groups_typed(
-        cands, "part", pair_dedupe,
-        pa.table(
-            {"a": pa.array([], type=pa.int64()),
-             "b": pa.array([], type=pa.int64())}
+    cands = dedupe_edges(
+        map_groups_typed(
+            narrow.map_batches(explode, batch_format="pyarrow"),
+            "part", window_pairs, _PAIRS_EMPTY,
         ),
+        n_parts, pa.int64(),
     )
 
     _OUT_EMPTY = pa.table(

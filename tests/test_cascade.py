@@ -326,6 +326,23 @@ def test_doc_cascade_join_path():
     )
 
 
+def test_doc_cascade_rejects_string_ids():
+    """String doc ids are refused up front with the integer-id contract
+    of both tiers, not by an ArrowInvalid deep inside the exact tier."""
+    from simhash_ray.pipelines.cascade import dedup_docs_cascade
+
+    ids = [f"d{i}" for i in range(40)]
+    texts = [f"body {i % 7} of a document" for i in range(40)]
+    for docs in (
+        rd.from_pandas(pd.DataFrame({"doc_id": ids, "text": texts})),
+        rd.from_arrow(pa.table({"doc_id": ids, "text": texts})),
+    ):
+        with pytest.raises(
+            ValueError, match=r"requires integer 'doc_id' ids.*both tiers"
+        ):
+            dedup_docs_cascade(docs, n_parts=8)
+
+
 def test_all_unique_corpus():
     rows = [r for r in _rows() if r["image_id"] in
             {"img00000009", "img00000010"}]

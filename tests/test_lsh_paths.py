@@ -136,60 +136,6 @@ def test_pair_generator_rejects_missing_tau_space(ray_session):
         make_pair_generator(pair_full_threshold=4, taus={0: 3})(group)
 
 
-def test_first_band_only_identical_edge_set():
-    """Opt-in first-band pair emission must produce the IDENTICAL
-    deduped edge set on a non-degenerate corpus (no star-regime
-    buckets) — only the pre-dedupe multiplicity changes."""
-    from simhash_ray.fixtures import FixtureSpec, generate_fixture
-    from simhash_ray.pipelines.dedup_images import (
-        collapse_exact,
-        dup_edges,
-        signatures,
-    )
-    from simhash_ray.config import DEFAULT_CONFIG
-
-    tables = generate_fixture(FixtureSpec(n_rows=10_000, seed=7))
-    images = rd.from_arrow(tables["images"])
-    sigs = signatures(images, DEFAULT_CONFIG).materialize()
-    collapsed = collapse_exact(sigs, 32).materialize()
-    base = dup_edges(collapsed, DEFAULT_CONFIG, 32).to_pandas()
-    fb = dup_edges(
-        collapsed, DEFAULT_CONFIG, 32, first_band_only=True
-    ).to_pandas()
-    key = lambda df: sorted(map(tuple, df[["a", "b"]].values.tolist()))
-    assert key(base) == key(fb)
-    assert len(base) > 0
-
-    # pre-dedupe volume: first-band emission must be strictly smaller
-    cands = dup_edges(
-        collapsed, DEFAULT_CONFIG, 32, candidates_only=True
-    ).count()
-    cands_fb = dup_edges(
-        collapsed, DEFAULT_CONFIG, 32, candidates_only=True,
-        first_band_only=True,
-    ).count()
-    assert cands_fb < cands
-
-
-def test_first_band_lut_properties():
-    from simhash_ray.config import LSHConfig
-    from simhash_ray.stages.lsh import _combos, _first_band_lut
-
-    cfg = LSHConfig(n_blocks=4, combo_m=2, hamming_tau=2)
-    lut = _first_band_lut(cfg)
-    combos = _combos(cfg)
-    full = (1 << cfg.n_blocks) - 1
-    assert lut[full] == 0  # identical sigs -> first band
-    assert lut[0] == -1  # nothing agrees -> no colliding band
-    for mask in range(1 << cfg.n_blocks):
-        want = -1
-        for bi, combo in enumerate(combos):
-            if all((mask >> b) & 1 for b in combo):
-                want = bi
-                break
-        assert lut[mask] == want, mask
-
-
 @pytest.mark.parametrize("space_cfg", ["text_lsh", "image_lsh"])
 def test_band_expander_keys_are_band_keys(space_cfg):
     """The distributed regime's band rows carry exactly the keys of

@@ -160,9 +160,9 @@ def test_cross_pair_generator_truncation_is_lowest_id_prefix():
             "left": pa.array([True] * gl + [False] * gr),
         }
     )
-    full = make_cross_pair_generator(n_parts=4, bucket_pair_cap=10**6)(group)
+    full = make_cross_pair_generator(bucket_pair_cap=10**6)(group)
     cap = 101
-    capped = make_cross_pair_generator(n_parts=4, bucket_pair_cap=cap)(group)
+    capped = make_cross_pair_generator(bucket_pair_cap=cap)(group)
     fa = full["a"].to_numpy(zero_copy_only=False)
     fb = full["b"].to_numpy(zero_copy_only=False)
     assert len(fa) == gl * gr

@@ -180,6 +180,19 @@ def test_tile_pairs_distributed_regime_matches_broadcast():
     )
     assert len(broad) >= 40 * 39 // 2  # the hot mass fully enumerated
 
+    # degenerate buckets: at pair_full_threshold=16 the 40-row constant-
+    # tile mass is an oversized bucket (under OVERSIZED_EXACT_CAP) in
+    # which identical-tile twins sit beside distinct-tile members; every
+    # within-tau tile must still count toward n_tiles_close in both regimes
+    broad = tile_dup_pairs(ds, tau=2, k_min=3, pair_full_threshold=16).to_pandas()
+    dist = tile_dup_pairs(
+        ds, tau=2, k_min=3, pair_full_threshold=16, broadcast_sig_limit=0
+    ).to_pandas()
+    assert sorted(map(tuple, broad[key].values.tolist())) == sorted(
+        map(tuple, dist[key].values.tolist())
+    )
+    assert len(broad) >= 40 * 39 // 2
+
 
 def test_oversized_identical_run_kernel_exact_and_capped():
     """Kernel-level pin of the exact-identical enumeration (round-4
@@ -259,19 +272,3 @@ def test_identical_runs_emit_only_in_band0():
     assert len(a0) == n_run + 3  # run pairs + head triu over 3 sigs
     assert len(aN) == 3  # band>0: head triu only, no identical pairs
     assert starN.all()
-
-
-def test_tile_first_band_only_distributed_matches():
-    """Opt-in first-band emission in the tile distributed regime: same
-    pairs AND same n_tiles_close (one emission per colliding space
-    suffices for the distinct-space count)."""
-    rows = _corpus()
-    ds = rd.from_arrow(_table(rows)).repartition(4)
-    kw = dict(tau=2, k_min=3, broadcast_sig_limit=0)
-    base = tile_dup_pairs(ds, **kw).to_pandas()
-    fb = tile_dup_pairs(ds, first_band_only=True, **kw).to_pandas()
-    key = ["a", "b", "n_tiles_close"]
-    assert sorted(map(tuple, base[key].values.tolist())) == sorted(
-        map(tuple, fb[key].values.tolist())
-    )
-    assert len(base) > 0
