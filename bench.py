@@ -85,12 +85,24 @@ def host_burn(seconds: float = 12.0, n_procs: int = 8) -> None:
         pool.map(_burn_worker, [seconds] * n_procs)
 
 
+def _mem_total_kb() -> int | None:
+    """The host's MemTotal from /proc/meminfo (None where absent)."""
+    try:
+        with open("/proc/meminfo") as f:
+            for line in f:
+                if line.startswith("MemTotal:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return None
+
+
 def _run_bench() -> dict:
     import logging
 
     import ray
 
-    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", os.cpu_count() or 1))
     sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
     calibration_pre = host_speed()
     ray.init(
@@ -631,6 +643,8 @@ def _run_bench() -> dict:
         "cluster_merge_precision": round(precision, 4),
         "n_truth_pairs": n_truth_pairs,
         "host_speed_pre": calibration_pre,
+        "host_nproc": os.cpu_count(),
+        "host_mem_total_kb": _mem_total_kb(),
     }
     ray.shutdown()
     result["host_speed_post"] = host_speed()
