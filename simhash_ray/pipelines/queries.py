@@ -2856,11 +2856,11 @@ def _minhash_staged_pairs(
     producer (stages/oph.py) — downstream is byte-identical."""
     from ..stages.minhash import (
         _banded_candidate_pairs,
-        _sig_matrix,
-        _verify_broadcast,
         minhash_signatures,
+        verify_signatures,
     )
     from ..stages.oph import oph_signatures
+    from ..stages.pairverify import unpack_matrix
 
     sig_fn = oph_signatures if encoder == "oph" else minhash_signatures
     docs = _docs(sf_dir, columns=["doc_id", "text"])
@@ -2868,7 +2868,7 @@ def _minhash_staged_pairs(
 
     def unpack(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        mat = _sig_matrix(batch["sig"], 64)
+        mat = unpack_matrix(batch["sig"], 64)
         ids = batch["id"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
             {
@@ -2884,7 +2884,7 @@ def _minhash_staged_pairs(
         pairs.map_batches(lambda t: t.select(["a", "b"]), batch_format="pyarrow"),
         cand_name,
     )
-    return docs, _verify_broadcast(pairs, sig_ds, theta, 64)
+    return docs, verify_signatures(pairs, sig_ds, theta, 64, True)
 
 
 def q_doc_minhash_pairs(sf_dir: str):
@@ -2923,11 +2923,11 @@ def q_doc_similarity_join(sf_dir: str):
     staged; DuckDB re-runs the verify AND re-checks the side
     orientation (a in probe, b in corpus)."""
     from ..stages.minhash import (
-        _sig_matrix,
-        _verify_broadcast,
         minhash_signatures,
         similarity_join_candidates,
+        verify_signatures,
     )
+    from ..stages.pairverify import unpack_matrix
 
     docs = _docs(sf_dir, columns=["doc_id", "text"])
 
@@ -2949,7 +2949,7 @@ def q_doc_similarity_join(sf_dir: str):
 
     def unpack(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        mat = _sig_matrix(batch["sig"], 64)
+        mat = unpack_matrix(batch["sig"], 64)
         ids = batch["id"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
             {
@@ -2965,7 +2965,7 @@ def q_doc_similarity_join(sf_dir: str):
         cands.map_batches(lambda t: t.select(["a", "b"]), batch_format="pyarrow"),
         "simjoin_cands",
     )
-    return _verify_broadcast(cands, union_sigs, 0.5, 64)
+    return verify_signatures(cands, union_sigs, 0.5, 64, True)
 
 
 SQL_DOC_SIMILARITY_JOIN = f"""
@@ -3103,16 +3103,13 @@ def q_doc_minhash_bbit_pairs(sf_dir: str):
     recounts agreement and re-applies the integer threshold
     den·(agree·2^b − n) ≥ num·n·(2^b − 1)."""
     from ..stages.bbit import (
-        bbit_verify_broadcast,
+        bbit_verify,
         pack_bbit,
         unpack_bbit_matrix,
         words_per_row,
     )
-    from ..stages.minhash import (
-        _banded_candidate_pairs,
-        _sig_matrix,
-        minhash_signatures,
-    )
+    from ..stages.minhash import _banded_candidate_pairs, minhash_signatures
+    from ..stages.pairverify import unpack_matrix
 
     b = 4
     docs = _docs(sf_dir, columns=["doc_id", "text"])
@@ -3121,7 +3118,7 @@ def q_doc_minhash_bbit_pairs(sf_dir: str):
 
     def unpack(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        lanes = unpack_bbit_matrix(_sig_matrix(batch["bsig"], words_per_row(b, 64)), b, 64)
+        lanes = unpack_bbit_matrix(unpack_matrix(batch["bsig"], words_per_row(b, 64)), b, 64)
         ids = batch["id"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
             {
@@ -3137,7 +3134,7 @@ def q_doc_minhash_bbit_pairs(sf_dir: str):
         pairs.map_batches(lambda t: t.select(["a", "b"]), batch_format="pyarrow"),
         "minhash_bbit_cands",
     )
-    return bbit_verify_broadcast(pairs, packed, (7, 10), b, 64)
+    return bbit_verify(pairs, packed, (7, 10), b, 64)
 
 
 SQL_DOC_MINHASH_BBIT_PAIRS = f"""
@@ -3213,11 +3210,8 @@ def q_doc_dedup_cascade(sf_dir: str):
     re-runs the verify (signature-agreement ≥ θ), the recursive-CTE
     connected components over the survivor set, AND the cross-tier
     keeper-chain composition + tier attribution."""
-    from ..stages.minhash import (
-        _banded_candidate_pairs,
-        _sig_matrix,
-        minhash_signatures,
-    )
+    from ..stages.minhash import _banded_candidate_pairs, minhash_signatures
+    from ..stages.pairverify import unpack_matrix
     from .cascade import _drop_rows, dedup_docs_cascade
 
     docs = _docs(sf_dir, columns=["doc_id", "text"])
@@ -3236,7 +3230,7 @@ def q_doc_dedup_cascade(sf_dir: str):
 
     def unpack(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        mat = _sig_matrix(batch["sig"], 64)
+        mat = unpack_matrix(batch["sig"], 64)
         ids = batch["id"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
             {

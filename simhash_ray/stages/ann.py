@@ -26,6 +26,7 @@ import ray
 import ray.data as rd
 
 from .buckets import all_pairs, runs
+from .pairverify import pack_matrix, unpack_matrix, verify_pairs
 
 logger = logging.getLogger(__name__)
 
@@ -596,14 +597,13 @@ def collapse_identical_vectors(
 
     # Arrow's hash join rejects list payload columns — pack the vector
     # to fixed-size binary for the rep semi-join and unpack after (the
-    # _cosine_verify_join trick)
-    from .minhash import _pack_sig_column, _sig_matrix
+    # feature format of stages/pairverify)
 
     def pack(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
                 id_col: batch[id_col].cast(pa.int64()),
-                "vpack": _pack_sig_column(_to_matrix(batch[vec_col])),
+                "vpack": pack_matrix(_to_matrix(batch[vec_col])),
             }
         )
 
@@ -627,7 +627,7 @@ def collapse_identical_vectors(
                     vec_col: pa.array([], type=pa.list_(pa.float64())),
                 }
             )
-        mat = _sig_matrix(batch["vpack"], dim, dtype=np.float64)
+        mat = unpack_matrix(batch["vpack"], dim, dtype=np.float64)
         lists = pa.ListArray.from_arrays(
             pa.array(
                 np.arange(batch.num_rows + 1, dtype=np.int32) * dim
@@ -847,41 +847,24 @@ def lsh_cosine_dup_pairs(
         concurrency=concurrency,
     )
 
-    # exact verify: broadcast the normalized matrix once (vector table
-    # ≤ broadcast_limit rows); above it, two hash joins ship each
-    # vector only to the pairs that reference it — no full-table
-    # driver materialization on the scale path
-    if vectors.count() > broadcast_limit:
-        return _cosine_verify_join(
-            pairs, vectors, threshold_num, threshold_den, id_col, vec_col, n_parts
-        )
-    vec_tbl = pa.concat_tables(
-        vectors.select_columns([id_col, vec_col]).iter_batches(
-            batch_format="pyarrow", batch_size=65536
-        )
-    )
-    ids_sorted = vec_tbl[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    order = np.argsort(ids_sorted)
-    ids_sorted = ids_sorted[order]
-    mat = _to_matrix(vec_tbl[vec_col])[order]
-    mat /= np.linalg.norm(mat, axis=1, keepdims=True)
-    ref = ray.put((ids_sorted, mat))
+    # exact verify through stages/pairverify: unit vectors packed to
+    # fixed-size float64 binary (Arrow's hash join rejects list payload
+    # columns; the fixed width makes the unpack a zero-copy reshape),
+    # broadcast up to broadcast_limit rows, two hash joins above
+    n_rows = vectors.count()
+    dim = len(vectors.take(1)[0][vec_col]) if n_rows else 0
 
-    def verify(batch: pa.Table) -> pa.Table:
-        uids, umat = ray.get(ref)
-        if batch.num_rows == 0:
-            return _EMPTY_ID_PAIRS
-        a = batch["a"].to_numpy(zero_copy_only=False)
-        b = batch["b"].to_numpy(zero_copy_only=False)
-        pos_a = np.searchsorted(uids, a).clip(max=len(uids) - 1)
-        pos_b = np.searchsorted(uids, b).clip(max=len(uids) - 1)
-        if not ((uids[pos_a] == a).all() and (uids[pos_b] == b).all()):
-            raise ValueError(
-                "candidate pairs reference ids absent from the vector "
-                "table (stale candidate set?)"
-            )
-        va = umat[pos_a]
-        vb = umat[pos_b]
+    def pack(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0:
+            mat = np.empty((0, dim))
+        else:
+            mat = _to_matrix(t[vec_col])
+            mat = mat / np.linalg.norm(mat, axis=1, keepdims=True)
+        return pa.table({"id": t[id_col].cast(pa.int64()), "vec": pack_matrix(mat)})
+
+    def check(a, b, fa, fb) -> pa.Table:
+        va = unpack_matrix(fa, dim, dtype=np.float64)
+        vb = unpack_matrix(fb, dim, dtype=np.float64)
         cos = np.einsum("ij,ij->i", va, vb)
         keep = cos * threshold_den >= threshold_num
         return pa.table(
@@ -891,83 +874,11 @@ def lsh_cosine_dup_pairs(
             }
         )
 
-    # large explicit batches: the default ~1k batch size turns 12.9M
-    # candidate rows into ~12k tiny tasks whose per-batch overhead
-    # dwarfs the searchsorted+einsum (measured 113 s → numpy-bound
-    # seconds); 256k pair rows gather ~200 MB of vectors, well within
-    # a worker's heap
-    return pairs.map_batches(
-        verify, batch_format="pyarrow", batch_size=262144
+    feats = vectors.select_columns([id_col, vec_col]).map_batches(
+        pack, batch_format="pyarrow"
     )
-
-
-def _cosine_verify_join(
-    pairs: rd.Dataset,
-    vectors: rd.Dataset,
-    threshold_num: int,
-    threshold_den: int,
-    id_col: str,
-    vec_col: str,
-    n_parts: int,
-) -> rd.Dataset:
-    """Scale-path exact-cosine verify: hash-join each pair side to its
-    vector (same shape as minhash._verify_join).  Vectors are packed
-    to fixed-size float64 binary for the join — Arrow's hash join
-    rejects list payload columns, and the fixed width makes the unpack
-    a zero-copy reshape (no per-row frombuffer loop)."""
-    from .minhash import _pack_sig_column, _sig_matrix
-
-    agg_args = {"num_cpus": 0.5}
-
-    def packed(out_id: str, out_vec: str):
-        def fn(t: pa.Table) -> pa.Table:
-            mat = _to_matrix(t[vec_col])
-            return pa.table(
-                {
-                    out_id: t[id_col].cast(pa.int64()),
-                    out_vec: _pack_sig_column(mat),
-                }
-            )
-
-        return fn
-
-    vec_a = vectors.select_columns([id_col, vec_col]).map_batches(
-        packed("a", "vec_a"), batch_format="pyarrow"
-    )
-    vec_b = vectors.select_columns([id_col, vec_col]).map_batches(
-        packed("b", "vec_b"), batch_format="pyarrow"
-    )
-    joined = pairs.select_columns(["a", "b"]).join(
-        vec_a, join_type="inner", num_partitions=n_parts, on=("a",),
-        aggregator_ray_remote_args=agg_args,
-    ).join(
-        vec_b, join_type="inner", num_partitions=n_parts, on=("b",),
-        aggregator_ray_remote_args=agg_args,
-    )
-
-    def verify(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _EMPTY_ID_PAIRS
-        ty = batch["vec_a"].type
-        if pa.types.is_fixed_size_binary(ty):
-            dim = ty.byte_width // 8
-        else:  # legacy variable-width packing
-            dim = len(batch["vec_a"][0].as_py()) // 8
-        va = _sig_matrix(batch["vec_a"], dim, dtype=np.float64)
-        vb = _sig_matrix(batch["vec_b"], dim, dtype=np.float64)
-        va = va / np.linalg.norm(va, axis=1, keepdims=True)
-        vb = vb / np.linalg.norm(vb, axis=1, keepdims=True)
-        cos = np.einsum("ij,ij->i", va, vb)
-        keep = cos * threshold_den >= threshold_num
-        return pa.table(
-            {
-                "a": batch["a"].filter(pa.array(keep)).cast(pa.int64()),
-                "b": batch["b"].filter(pa.array(keep)).cast(pa.int64()),
-            }
-        )
-
-    return joined.map_batches(
-        verify, batch_format="pyarrow", batch_size=262144
+    return verify_pairs(
+        pairs, feats, check, _EMPTY_ID_PAIRS, n_rows <= broadcast_limit
     )
 
 

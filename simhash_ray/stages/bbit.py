@@ -24,18 +24,18 @@ is evaluated in exact integer arithmetic:
     Ĵ ≥ num/den  ⇔  den · (agree · 2^b − n_perm) ≥ num · n_perm · (2^b − 1)
 
 Reference for the surrounding machinery: stages/minhash.py (encoder,
-band expander, pair generator, broadcast-verify shape).
+band expander, pair generator) and stages/pairverify.py (the gather).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import ray
 import ray.data as rd
 
 from ..simhash import hamming64
-from .minhash import _pack_sig_column, _sig_matrix
+from .minhash import MINHASH_BROADCAST_LIMIT
+from .pairverify import pack_matrix, unpack_matrix, verify_pairs
 
 _VALID_B = (1, 2, 4, 8, 16, 32)
 
@@ -130,11 +130,11 @@ def pack_bbit(
     _check_b(b)
 
     def fn(batch: pa.Table) -> pa.Table:
-        mat = _sig_matrix(batch[sig_col], n_perm)
+        mat = unpack_matrix(batch[sig_col], n_perm)
         return pa.table(
             {
                 "id": batch[id_col].cast(pa.int64()),
-                "bsig": _pack_sig_column(pack_bbit_matrix(mat, b)),
+                "bsig": pack_matrix(pack_bbit_matrix(mat, b)),
             }
         )
 
@@ -150,41 +150,27 @@ _EMPTY_BBIT_VERIFIED = pa.table(
 )
 
 
-def bbit_verify_broadcast(
+def bbit_verify(
     pairs: rd.Dataset,
     packed: rd.Dataset,
     theta: tuple[int, int],
     b: int,
     n_perm: int = 64,
 ) -> rd.Dataset:
-    """Verify candidate (a, b) pairs against the PACKED table only —
-    same broadcast shape as minhash._verify_broadcast but the ray.put
-    payload is ``64/b``× smaller (the point of the scheme).  Output
-    (a, b, agree) for pairs passing the corrected-estimator threshold;
-    ``agree`` is the integer lane-agreement count, so the SQL oracle
-    compares exactly."""
+    """Verify candidate (a, b) pairs against the PACKED table only,
+    through stages/pairverify: a ``ray.put`` broadcast up to
+    ``MINHASH_BROADCAST_LIMIT`` rows (a payload ``64/b``× smaller than
+    the full-width table's — the point of the scheme), two hash joins
+    above.  Output (a, b, agree) for pairs passing the
+    corrected-estimator threshold; ``agree`` is the integer
+    lane-agreement count, so the SQL oracle compares exactly."""
     _check_b(b)
     theta_num, theta_den = theta
     n_words = words_per_row(b, n_perm)
-    tbl = pa.concat_tables(
-        packed.iter_batches(batch_format="pyarrow", batch_size=65536)
-    )
-    ids = tbl["id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    mat = _sig_matrix(tbl["bsig"], n_words)
-    order = np.argsort(ids)
-    ref = ray.put((ids[order], mat[order]))
 
-    def verify(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _EMPTY_BBIT_VERIFIED
-        uids, umat = ray.get(ref)
-        a = batch["a"].to_numpy(zero_copy_only=False)
-        bb = batch["b"].to_numpy(zero_copy_only=False)
+    def check(a, bb, fa, fb) -> pa.Table:
         agree = bbit_agreement(
-            umat[np.searchsorted(uids, a)],
-            umat[np.searchsorted(uids, bb)],
-            b,
-            n_perm,
+            unpack_matrix(fa, n_words), unpack_matrix(fb, n_words), b, n_perm
         )
         keep = agree_threshold_keep(agree, b, n_perm, theta_num, theta_den)
         return pa.table(
@@ -195,7 +181,10 @@ def bbit_verify_broadcast(
             }
         )
 
-    return pairs.map_batches(verify, batch_format="pyarrow", batch_size=262144)
+    return verify_pairs(
+        pairs, packed, check, _EMPTY_BBIT_VERIFIED,
+        packed.count() <= MINHASH_BROADCAST_LIMIT,
+    )
 
 
 def bbit_dup_pairs(
@@ -231,4 +220,4 @@ def bbit_dup_pairs(
         sig_ds, n_perm, n_bands, n_parts, pair_full_threshold
     ).materialize()
     packed = pack_bbit(sig_ds, b, n_perm).materialize()
-    return bbit_verify_broadcast(pairs, packed, theta, b, n_perm)
+    return bbit_verify(pairs, packed, theta, b, n_perm)

@@ -10,9 +10,9 @@ encode runs ONCE into a narrow signature table (id, 512-byte sig);
 band rows derived from it carry only (id, band, key, part) ≈ 24 B/row
 — NOT the full signature — so the all-to-all band shuffle moves ~16×
 fewer bytes per doc than replicating the signature into every band.
-Candidate pairs are globally deduped, then verified by rejoining the
-signature table (broadcast via ``ray.put`` when it fits, hash
-``Dataset.join`` above ``MINHASH_BROADCAST_LIMIT``).
+Candidate pairs are globally deduped, then verified against the
+signature table through stages/pairverify (``ray.put`` broadcast when
+it fits, two hash joins above ``MINHASH_BROADCAST_LIMIT``).
 
 Skew guard: buckets larger than ``pair_full_threshold`` get the LSH
 oversized-bucket policy (stages/buckets) on a bucket with no identical
@@ -29,7 +29,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
@@ -38,6 +37,7 @@ from ..functions.tokenize import tokens_flat
 from .buckets import runs
 from .cluster import dedupe_edges
 from .lsh import lsh_bucket_pairs
+from .pairverify import pack_matrix, unpack_matrix, verify_pairs
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 
@@ -47,35 +47,6 @@ MINHASH_BROADCAST_LIMIT = 2_000_000
 
 
 _ACC_SEED = np.uint64(0x5851F42D4C957F2D)
-
-
-def _sig_matrix(
-    col: pa.ChunkedArray | pa.Array, n_words: int, dtype=np.uint64
-) -> np.ndarray:
-    """Zero-copy (n_rows, n_words) matrix view of a fixed-size-binary
-    signature column — one ``frombuffer`` + reshape over the Arrow data
-    buffer, no per-row Python (round-2 verdict item 4: these reshapes
-    sit in the stages that run at 100-TB scale).  Falls back to a
-    per-row parse for variable-width binary (legacy tables)."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    if pa.types.is_fixed_size_binary(col.type):
-        flat = np.frombuffer(col.buffers()[1], dtype=dtype)
-        start = col.offset * n_words
-        return flat[start : start + len(col) * n_words].reshape(len(col), n_words)
-    return np.stack([np.frombuffer(s, dtype=dtype) for s in col.to_pylist()])
-
-
-def _pack_sig_column(mat: np.ndarray) -> pa.Array:
-    """(n_rows, n_words) contiguous array → fixed-size-binary column
-    (one buffer handoff; byte-identical to the historical per-row
-    ``tobytes`` packing — rows are little-endian word sequences)."""
-    n, n_words = mat.shape
-    width = n_words * mat.dtype.itemsize
-    data = np.ascontiguousarray(mat)
-    return pa.Array.from_buffers(
-        pa.binary(width), n, [None, pa.py_buffer(data.tobytes())]
-    )
 
 
 def _shingle_hashes_flat(
@@ -220,7 +191,7 @@ class MinHashEncoder:
         return pa.table(
             {
                 "id": batch[self.id_col].cast(pa.int64()),
-                "sig": _pack_sig_column(sigs),
+                "sig": pack_matrix(sigs),
             }
         )
 
@@ -236,7 +207,7 @@ def make_band_expander(n_perm: int = 64, n_bands: int = 16, n_parts: int = 64):
         n = batch.num_rows
         if n == 0:
             return _EMPTY_BANDS
-        sigs = _sig_matrix(batch["sig"], n_perm)
+        sigs = unpack_matrix(batch["sig"], n_perm)
         ids = batch["id"].to_numpy(zero_copy_only=False)
         out_id, out_band, out_key = [], [], []
         for b in range(n_bands):
@@ -325,29 +296,19 @@ def make_pair_generator(pair_full_threshold: int = 512):
     return pairs
 
 
-def _verify_broadcast(
-    pairs: rd.Dataset, sig_ds: rd.Dataset, theta: float, n_perm: int
+def verify_signatures(
+    pairs: rd.Dataset,
+    sig_ds: rd.Dataset,
+    theta: float,
+    n_perm: int,
+    broadcast: bool,
 ) -> rd.Dataset:
-    """Rejoin signatures via one ray.put of the (sorted-id, sig-matrix)
-    pair; per pair batch: two searchsorted gathers + row-equality mean."""
-    sig_tbl = pa.concat_tables(
-        sig_ds.iter_batches(batch_format="pyarrow", batch_size=65536)
-    )
-    ids = sig_tbl["id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    mat = _sig_matrix(sig_tbl["sig"], n_perm)
-    order = np.argsort(ids)
-    ids_sorted, mat = ids[order], mat[order]
-    ref = ray.put((ids_sorted, mat))
+    """(a, b, est_jaccard ≥ θ) for candidate pairs over an (id, sig)
+    signature table: the estimate is the fraction of agreeing minima,
+    gathered by stages/pairverify (broadcast or two hash joins)."""
 
-    def verify(batch: pa.Table) -> pa.Table:
-        uids, umat = ray.get(ref)
-        if batch.num_rows == 0:
-            return _EMPTY_VERIFIED
-        a = batch["a"].to_numpy(zero_copy_only=False)
-        b = batch["b"].to_numpy(zero_copy_only=False)
-        sa = umat[np.searchsorted(uids, a)]
-        sb = umat[np.searchsorted(uids, b)]
-        est = (sa == sb).mean(axis=1)
+    def check(a, b, fa, fb) -> pa.Table:
+        est = (unpack_matrix(fa, n_perm) == unpack_matrix(fb, n_perm)).mean(axis=1)
         keep = est >= theta
         return pa.table(
             {
@@ -357,56 +318,7 @@ def _verify_broadcast(
             }
         )
 
-    # large explicit batches: pair streams arrive as many small
-    # map_groups blocks; coalescing keeps the stage numpy-bound
-    # (same finding as stages/ann.py verify, late r4)
-    return pairs.map_batches(verify, batch_format="pyarrow", batch_size=262144)
-
-
-def _verify_join(
-    pairs: rd.Dataset, sig_ds: rd.Dataset, theta: float, n_perm: int, n_parts: int
-) -> rd.Dataset:
-    """Scale path: two hash joins ship each signature only to the pairs
-    that need it (no replication of the whole table)."""
-    sig_a = sig_ds.map_batches(
-        lambda t: t.rename_columns(["a", "sig_a"]), batch_format="pyarrow"
-    )
-    sig_b = sig_ds.map_batches(
-        lambda t: t.rename_columns(["b", "sig_b"]), batch_format="pyarrow"
-    )
-    # aggregators at 0.5 CPU: join aggregator actors must not starve
-    # the map side on small clusters (and two joins run back-to-back)
-    agg_args = {"num_cpus": 0.5}
-    joined = pairs.select_columns(["a", "b"]).join(
-        sig_a,
-        join_type="inner",
-        num_partitions=n_parts,
-        on=("a",),
-        aggregator_ray_remote_args=agg_args,
-    ).join(
-        sig_b,
-        join_type="inner",
-        num_partitions=n_parts,
-        on=("b",),
-        aggregator_ray_remote_args=agg_args,
-    )
-
-    def verify(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _EMPTY_VERIFIED
-        sa = _sig_matrix(batch["sig_a"], n_perm)
-        sb = _sig_matrix(batch["sig_b"], n_perm)
-        est = (sa == sb).mean(axis=1)
-        keep = est >= theta
-        return pa.table(
-            {
-                "a": batch["a"].filter(pa.array(keep)),
-                "b": batch["b"].filter(pa.array(keep)),
-                "est_jaccard": pa.array(est[keep], type=pa.float64()),
-            }
-        )
-
-    return joined.map_batches(verify, batch_format="pyarrow", batch_size=262144)
+    return verify_pairs(pairs, sig_ds, check, _EMPTY_VERIFIED, broadcast)
 
 
 def minhash_signatures(
@@ -502,9 +414,7 @@ def minhash_dup_pairs(
     pairs = _banded_candidate_pairs(
         sig_ds, n_perm, n_bands, n_parts, pair_full_threshold
     )
-    if sig_ds.count() <= limit:
-        return _verify_broadcast(pairs, sig_ds, theta, n_perm)
-    return _verify_join(pairs, sig_ds, theta, n_perm, n_parts)
+    return verify_signatures(pairs, sig_ds, theta, n_perm, sig_ds.count() <= limit)
 
 
 def all_pairs_jaccard(
@@ -662,9 +572,9 @@ def minhash_dedup(
 # character-level Levenshtein distance — the semantics a "≤ d edits"
 # near-dup rule wants and the one DuckDB's levenshtein() replays for
 # the oracle.  Same recall-bearing prefix (minhash_candidate_pairs);
-# only the verify differs.  Texts attach to the narrow pair table by
-# ray.put broadcast below EDITDIST_BROADCAST_LIMIT docs and by two
-# hash Dataset.joins above it; the DP kernel is row-vectorized numpy
+# only the verify differs.  Texts attach to the pairs through
+# stages/pairverify (broadcast up to EDITDIST_BROADCAST_LIMIT docs, two
+# hash joins above it); the DP kernel is row-vectorized numpy
 # (O(len_a · len_b) worst case) with a band early-exit at cap+1, and
 # pairs whose length gap alone exceeds the cap never run the DP.
 
@@ -790,91 +700,34 @@ def editdist_verify(
     max_dist: int = 2,
     text_col: str = "text",
     id_col: str = "doc_id",
-    n_parts: int = 64,
     broadcast_limit: int | None = None,
 ) -> rd.Dataset:
     """(a, b, dist) for candidate pairs whose texts are within
     ``max_dist`` unit edits.  Pairs with a null text on either side are
     dropped (the SQL oracle's ``levenshtein(NULL, …)`` is NULL and
-    fails the threshold — semantics pinned equal)."""
+    fails the threshold — semantics pinned equal); verify_pairs drops
+    them as it drops absent ids."""
     limit = EDITDIST_BROADCAST_LIMIT if broadcast_limit is None else broadcast_limit
     narrow = docs.select_columns([id_col, text_col])
-    n_docs = narrow.count()
 
-    def verify_arrays(a, b, ta, tb):
-        ta = np.asarray(ta, dtype=object)
-        tb = np.asarray(tb, dtype=object)
-        valid = np.fromiter(
-            (ta[i] is not None and tb[i] is not None for i in range(len(a))),
-            dtype=bool, count=len(a),
-        )
-        a, b, ta, tb = a[valid], b[valid], ta[valid], tb[valid]
+    def check(a, b, fa, fb) -> pa.Table:
+        ta = fa.to_numpy(zero_copy_only=False)
+        tb = fb.to_numpy(zero_copy_only=False)
         d = levenshtein_capped_pairs(ta, tb, max_dist)
         keep = d <= max_dist
         return pa.table(
             {
-                "a": pa.array(np.asarray(a[keep], dtype=np.int64)),
-                "b": pa.array(np.asarray(b[keep], dtype=np.int64)),
-                "dist": pa.array(d[keep]),
+                "a": pa.array(a[keep], type=pa.int64()),
+                "b": pa.array(b[keep], type=pa.int64()),
+                "dist": pa.array(d[keep], type=pa.int64()),
             }
         )
 
-    if n_docs <= limit:
-        pdf = narrow.to_pandas()
-        ids = pdf[id_col].to_numpy()
-        order = np.argsort(ids, kind="stable")
-        ids = ids[order]
-        texts = pdf[text_col].to_numpy(dtype=object)[order]
-        ref = ray.put((ids, texts))
-
-        def fn(batch: pa.Table) -> pa.Table:
-            a = batch["a"].to_numpy(zero_copy_only=False)
-            b = batch["b"].to_numpy(zero_copy_only=False)
-            s_ids, s_txt = ray.get(ref)
-            if len(s_ids) == 0:
-                return verify_arrays(a[:0], b[:0], a[:0], b[:0])
-            # membership-guarded gather: a pair id absent from docs is
-            # DROPPED (the join path inner-joins it away; without the
-            # guard searchsorted would gather an unrelated doc's text)
-            ia = np.minimum(np.searchsorted(s_ids, a), len(s_ids) - 1)
-            ib = np.minimum(np.searchsorted(s_ids, b), len(s_ids) - 1)
-            ok = (s_ids[ia] == a) & (s_ids[ib] == b)
-            if not ok.all():
-                a, b, ia, ib = a[ok], b[ok], ia[ok], ib[ok]
-            return verify_arrays(a, b, s_txt[ia], s_txt[ib])
-
-        return pairs.select_columns(["a", "b"]).map_batches(
-            fn, batch_format="pyarrow"
-        )
-
-    jn = int(min(n_parts, max(2, ray.cluster_resources().get("CPU", 8) // 2)))
-
-    def _as(side: str, tcol: str):
-        # arrow-level rename (Dataset.rename_columns chokes on
-        # pandas-backed blocks; batch_format="pyarrow" normalizes)
-        def f(t: pa.Table) -> pa.Table:
-            return t.select([id_col, text_col]).rename_columns([side, tcol])
-
-        return narrow.map_batches(f, batch_format="pyarrow")
-
-    ta_ds = _as("a", "__ta")
-    tb_ds = _as("b", "__tb")
-    joined = (
-        pairs.select_columns(["a", "b"])
-        .join(ta_ds, join_type="inner", num_partitions=jn, on=("a",),
-              aggregator_ray_remote_args={"num_cpus": 0.5})
-        .join(tb_ds, join_type="inner", num_partitions=jn, on=("b",),
-              aggregator_ray_remote_args={"num_cpus": 0.5})
+    empty = pa.table(
+        {"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
+         "dist": pa.array([], pa.int64())}
     )
-
-    def fn_joined(batch: pa.Table) -> pa.Table:
-        a = batch["a"].to_numpy(zero_copy_only=False)
-        b = batch["b"].to_numpy(zero_copy_only=False)
-        ta = batch["__ta"].to_numpy(zero_copy_only=False)
-        tb = batch["__tb"].to_numpy(zero_copy_only=False)
-        return verify_arrays(a, b, ta, tb)
-
-    return joined.map_batches(fn_joined, batch_format="pyarrow")
+    return verify_pairs(pairs, narrow, check, empty, narrow.count() <= limit)
 
 
 def editdist_dup_pairs(
@@ -896,7 +749,7 @@ def editdist_dup_pairs(
         docs, text_col, id_col, shingle_k, n_perm, n_bands, concurrency, n_parts
     )
     return editdist_verify(
-        cands, docs, max_dist, text_col, id_col, n_parts, broadcast_limit
+        cands, docs, max_dist, text_col, id_col, broadcast_limit
     )
 
 
@@ -1059,6 +912,4 @@ def minhash_similarity_join(
         left_sigs, right_sigs, n_perm, n_bands, n_parts, bucket_pair_cap
     )
     sig_ds = left_sigs.union(right_sigs).materialize()
-    if sig_ds.count() <= limit:
-        return _verify_broadcast(pairs, sig_ds, theta, n_perm)
-    return _verify_join(pairs, sig_ds, theta, n_perm, n_parts)
+    return verify_signatures(pairs, sig_ds, theta, n_perm, sig_ds.count() <= limit)

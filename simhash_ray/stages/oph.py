@@ -49,11 +49,10 @@ import ray.data as rd
 from .minhash import (
     MINHASH_BROADCAST_LIMIT,
     _banded_candidate_pairs,
-    _pack_sig_column,
     _shingle_hashes_flat,
-    _verify_broadcast,
-    _verify_join,
+    verify_signatures,
 )
+from .pairverify import pack_matrix
 
 _U64_MAX = np.uint64(0xFFFFFFFFFFFFFFFF)
 # rotation offset: odd 64-bit constant; z·C (mod 2^64) is distinct for
@@ -157,7 +156,7 @@ class OPHEncoder:
         return pa.table(
             {
                 "id": batch[self.id_col].cast(pa.int64()),
-                "sig": _pack_sig_column(sigs),
+                "sig": pack_matrix(sigs),
             }
         )
 
@@ -210,6 +209,4 @@ def oph_dup_pairs(
     pairs = _banded_candidate_pairs(
         sig_ds, n_perm, n_bands, n_parts, pair_full_threshold
     )
-    if sig_ds.count() <= limit:
-        return _verify_broadcast(pairs, sig_ds, theta, n_perm)
-    return _verify_join(pairs, sig_ds, theta, n_perm, n_parts)
+    return verify_signatures(pairs, sig_ds, theta, n_perm, sig_ds.count() <= limit)

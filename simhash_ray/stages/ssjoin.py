@@ -37,12 +37,12 @@ Distributed shape (narrow rows only, no dense matrix):
    (stages/collapse), since identical-set classes defeat EVERY exact
    pair enumerator;
 6. the pair reduce (stages/cluster.dedupe_edges);
-7. exact verify — intersection sizes computed by a fully vectorized
-   sorted-merge over the pairs' flat token-hash sets, either against a
-   ``ray.put`` broadcast of the corpus set table (flat u64 arrays —
-   ~8 B/token, far lighter than the all-pairs binary matrix) or, above
-   ``broadcast_limit`` total tokens, by two doc-keyed Dataset.joins of
-   per-doc hash lists.
+7. exact verify through stages/pairverify — intersection sizes
+   computed by a fully vectorized sorted-merge over the pairs' flat
+   token-hash sets, each doc's set one blob of sorted int64 hashes
+   (~8 B/token, far lighter than the all-pairs binary matrix), gathered
+   from a ``ray.put`` broadcast or, above ``broadcast_limit`` total
+   tokens, by two doc-keyed hash joins.
 
 Token hashing matches ``all_pairs_jaccard`` exactly
 (``pd.util.hash_array`` on the token object array), so outputs are
@@ -63,6 +63,7 @@ from ..functions.tokenize import tokens_flat
 from .base import map_groups_typed
 from .buckets import all_pairs, runs
 from .cluster import dedupe_edges
+from .pairverify import join_partitions, verify_pairs
 
 _EMPTY_DT = pa.table(
     {
@@ -206,7 +207,7 @@ def prefix_jaccard_pairs(
 
     n_tokens = dt.count()
     broadcast_regime = n_tokens <= broadcast_limit
-    n_join = int(max(2, min(8, ray.cluster_resources().get("CPU", 8) // 2)))
+    n_join = join_partitions()
 
     def _prefix_kernel(
         doc: np.ndarray, th: np.ndarray, n: np.ndarray, dfv: np.ndarray
@@ -330,143 +331,32 @@ def prefix_jaccard_pairs(
     raw_pairs = map_groups_typed(prefixes, "part", bucket_pairs, _EMPTY_PAIRS)
     pairs = dedupe_edges(raw_pairs, n_parts, pa.int64())
 
+    # per-doc sets as one blob each: built on the driver from the
+    # broadcast-sized token table, by one doc-keyed groupby above it
     if broadcast_regime:
-        return _verify_pairs_broadcast(pairs, dt, theta_num, theta_den)
-    return _verify_pairs_join(pairs, dt, theta_num, theta_den, n_join)
-
-
-def _set_table(dt: rd.Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sorted doc ids, offsets, flat SORTED token hashes per doc)."""
-    df = dt.to_pandas().sort_values(["doc", "th"])
-    docs = df["doc"].to_numpy()
-    ths = df["th"].to_numpy()
-    uids, starts = np.unique(docs, return_index=True)
-    offsets = np.append(starts, len(docs))
-    return uids, offsets, ths
-
-
-def _gather_sets(
-    ids: np.ndarray, uids: np.ndarray, offsets: np.ndarray, ths: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(pair_of, flat hashes, sizes) for a vector of doc ids."""
-    pos = np.searchsorted(uids, ids)
-    st, en = offsets[pos], offsets[pos + 1]
-    sizes = (en - st).astype(np.int64)
-    pair_of = np.repeat(np.arange(len(ids)), sizes)
-    idx = np.concatenate(
-        [np.arange(s, e) for s, e in zip(st, en)]
-    ) if len(ids) else np.empty(0, dtype=np.int64)
-    return pair_of, ths[idx], sizes
-
-
-def _verify_pairs_broadcast(
-    pairs: rd.Dataset, dt: rd.Dataset, num: int, den: int
-) -> rd.Dataset:
-    ref = ray.put(_set_table(dt))
-
-    def verify(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _EMPTY_OUT
-        uids, offsets, ths = ray.get(ref)
-        a = batch["a"].to_numpy(zero_copy_only=False)
-        b = batch["b"].to_numpy(zero_copy_only=False)
-        pa_of, tha, na = _gather_sets(a, uids, offsets, ths)
-        pb_of, thb, nb = _gather_sets(b, uids, offsets, ths)
-        inter = _merge_intersections(pa_of, tha, pb_of, thb, len(a))
-        uni = na + nb - inter
-        keep = (uni > 0) & (inter * den >= num * uni)
-        return pa.table(
-            {
-                "a": pa.array(a[keep], type=pa.int64()),
-                "b": pa.array(b[keep], type=pa.int64()),
-                "inter": pa.array(inter[keep], type=pa.int64()),
-                "uni": pa.array(uni[keep], type=pa.int64()),
-            }
+        tbl = pa.concat_tables(
+            [_EMPTY_DT, *dt.iter_batches(batch_format="pyarrow", batch_size=1 << 20)]
         )
-
-    return pairs.map_batches(verify, batch_format="pyarrow", batch_size=262144)
-
-
-def _verify_pairs_join(
-    pairs: rd.Dataset, dt: rd.Dataset, num: int, den: int, n_join: int
-) -> rd.Dataset:
-    """Scale path: per-doc hash LISTS attach to pairs via two doc-keyed
-    joins — each doc's set ships only to the pairs that need it."""
-
-    def to_lists(group: pa.Table) -> pa.Table:
-        # sets ship as BINARY blobs (sorted int64 hashes via tobytes):
-        # acero joins reject list-typed payload columns
-        if group.num_rows == 0:
-            return pa.table(
-                {"doc": pa.array([], type=pa.int64()),
-                 "ths": pa.array([], type=pa.large_binary())}
-            )
-        d = group["doc"].to_numpy(zero_copy_only=False)
-        t = group["th"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((t, d))
-        d, t = d[order], t[order]
-        uids, starts = np.unique(d, return_index=True)
-        offs = np.append(starts, len(d))
-        blobs = [t[s:e].tobytes() for s, e in zip(offs[:-1], offs[1:])]
-        return pa.table(
-            {
-                "doc": pa.array(uids, type=pa.int64()),
-                "ths": pa.array(blobs, type=pa.large_binary()),
-            }
-        )
-
-    keyed = dt.map_batches(
-        lambda t: t.append_column(
-            "part",
-            pa.array(
-                part_of_ints(
-                    64, t["doc"].to_numpy(zero_copy_only=False)
+        sets = rd.from_arrow(_set_blobs(tbl))
+    else:
+        keyed = dt.map_batches(
+            lambda t: t.append_column(
+                "part",
+                pa.array(
+                    part_of_ints(64, t["doc"].to_numpy(zero_copy_only=False)),
+                    type=pa.int32(),
                 ),
-                type=pa.int32(),
             ),
-        ),
-        batch_format="pyarrow",
-    )
-    empty_lists = pa.table(
-        {"doc": pa.array([], type=pa.int64()),
-         "ths": pa.array([], type=pa.large_binary())}
-    )
-    setlists = map_groups_typed(keyed, "part", to_lists, empty_lists)
-    sa = setlists.map_batches(
-        lambda t: t.rename_columns(["a", "ths_a"]), batch_format="pyarrow"
-    )
-    sb = setlists.map_batches(
-        lambda t: t.rename_columns(["b", "ths_b"]), batch_format="pyarrow"
-    )
-    jargs = {"num_cpus": 0.5}
-    joined = pairs.select_columns(["a", "b"]).join(
-        sa, join_type="inner", num_partitions=n_join, on=("a",),
-        aggregator_ray_remote_args=jargs,
-    ).join(
-        sb, join_type="inner", num_partitions=n_join, on=("b",),
-        aggregator_ray_remote_args=jargs,
-    )
+            batch_format="pyarrow",
+        )
+        sets = map_groups_typed(keyed, "part", _set_blobs, _set_blobs(_EMPTY_DT))
 
-    def verify(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _EMPTY_OUT
-        a = batch["a"].to_numpy(zero_copy_only=False)
-        b = batch["b"].to_numpy(zero_copy_only=False)
-
-        def flat(col):
-            blobs = batch[col].to_pylist()
-            vals = (
-                np.frombuffer(b"".join(blobs), dtype=np.int64)
-                if blobs else np.empty(0, dtype=np.int64)
-            )
-            sizes = np.asarray([len(x) // 8 for x in blobs], dtype=np.int64)
-            return np.repeat(np.arange(len(blobs)), sizes), vals, sizes
-
-        pa_of, tha, na = flat("ths_a")
-        pb_of, thb, nb = flat("ths_b")
+    def check(a, b, fa, fb) -> pa.Table:
+        pa_of, tha, na = _blob_sets(fa)
+        pb_of, thb, nb = _blob_sets(fb)
         inter = _merge_intersections(pa_of, tha, pb_of, thb, len(a))
         uni = na + nb - inter
-        keep = (uni > 0) & (inter * den >= num * uni)
+        keep = (uni > 0) & (inter * theta_den >= theta_num * uni)
         return pa.table(
             {
                 "a": pa.array(a[keep], type=pa.int64()),
@@ -476,4 +366,39 @@ def _verify_pairs_join(
             }
         )
 
-    return joined.map_batches(verify, batch_format="pyarrow", batch_size=262144)
+    return verify_pairs(pairs, sets, check, _EMPTY_OUT, broadcast_regime)
+
+
+def _set_blobs(t: pa.Table) -> pa.Table:
+    """(doc, ths) with one ``large_binary`` blob of SORTED int64 hashes
+    per doc (acero joins reject list-typed payload columns); the blobs
+    share one data buffer, no per-doc Python."""
+    d = t["doc"].to_numpy(zero_copy_only=False)
+    h = t["th"].to_numpy(zero_copy_only=False)
+    order = np.lexsort((h, d))
+    d, h = d[order], np.ascontiguousarray(h[order], dtype=np.int64)
+    uids, starts = np.unique(d, return_index=True)
+    offs = np.append(starts, len(d)).astype(np.int64) * 8
+    blobs = pa.LargeBinaryArray.from_buffers(
+        pa.large_binary(), len(uids), [None, pa.py_buffer(offs), pa.py_buffer(h)]
+    )
+    return pa.table({"doc": pa.array(uids, type=pa.int64()), "ths": blobs})
+
+
+def _blob_sets(
+    col: pa.ChunkedArray | pa.Array,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row_of, flat hashes, sizes) of a column of :func:`_set_blobs`
+    blobs — read straight off the offsets and data buffers."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    offs = np.frombuffer(col.buffers()[1], dtype=np.int64)
+    offs = offs[col.offset : col.offset + len(col) + 1]
+    sizes = np.diff(offs) // 8
+    n_vals = int(offs[-1] - offs[0]) // 8
+    vals = (
+        np.frombuffer(col.buffers()[2], dtype=np.int64, count=n_vals,
+                      offset=int(offs[0]))
+        if n_vals else np.empty(0, dtype=np.int64)
+    )
+    return np.repeat(np.arange(len(col)), sizes), vals, sizes

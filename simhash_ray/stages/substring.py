@@ -579,7 +579,8 @@ def _span_rebuild(
 # per near-dup candidate pair, computed with a prefix-doubling suffix
 # array + Kasai LCP over the pair's concatenated code points.
 #
-# Division of labor (same shape as editdist_verify): RECALL comes from
+# Division of labor (candidate-then-verify, like every pair operator
+# verified through stages/pairverify): RECALL comes from
 # character-window candidates — any shared span of >= min_len chars
 # contains an aligned min_len-char window, so the window join finds
 # every qualifying pair exactly (df-guarded against boilerplate) —
@@ -730,11 +731,13 @@ def sa_max_span_pairs(
     window groupby produce the exact candidate pair set (a shared
     span of length s ≥ min_len contains ⌈s−min_len+1⌉ aligned windows
     — pigeonhole recall 1.0; windows with df > ``max_df`` are
-    boilerplate-excluded, loudly); texts attach by ``ray.put``
-    broadcast below ``broadcast_limit`` docs; the per-pair SA kernel
-    verifies and measures.  Candidates ≪ corpus by construction."""
+    boilerplate-excluded, loudly); texts attach through
+    stages/pairverify (``ray.put`` broadcast up to ``broadcast_limit``
+    docs, two hash joins above); the per-pair SA kernel verifies and
+    measures.  Candidates ≪ corpus by construction."""
     from .base import map_groups_typed
     from .cluster import dedupe_edges
+    from .pairverify import verify_pairs
 
     def explode(batch: pa.Table) -> pa.Table:
         if not pa.types.is_integer(batch[id_col].type):
@@ -789,68 +792,24 @@ def sa_max_span_pairs(
         }
     )
 
-    def verify_arrays(a, b, ta, tb) -> pa.Table:
+    def check(a, b, fa, fb) -> pa.Table:
+        ta = fa.to_numpy(zero_copy_only=False)
+        tb = fb.to_numpy(zero_copy_only=False)
         spans = np.empty(len(a), dtype=np.int64)
         for i in range(len(a)):  # candidates ≪ corpus; SA is per PAIR
             spans[i] = max_common_substring_chars(ta[i], tb[i])
         keep = spans >= min_len
         return pa.table(
             {
-                "a": pa.array(np.asarray(a[keep], dtype=np.int64)),
-                "b": pa.array(np.asarray(b[keep], dtype=np.int64)),
+                "a": pa.array(a[keep], type=pa.int64()),
+                "b": pa.array(b[keep], type=pa.int64()),
                 "max_span_len": pa.array(spans[keep], type=pa.int64()),
             }
         )
 
-    n_docs = narrow.count()
-    if n_docs <= broadcast_limit:
-        pdf = narrow.to_pandas()
-        order = np.argsort(pdf[id_col].to_numpy(), kind="stable")
-        s_ids = pdf[id_col].to_numpy()[order]
-        s_txt = pdf[text_col].to_numpy(dtype=object)[order]
-        ref = ray.put((s_ids, s_txt))
-
-        def verify(batch: pa.Table) -> pa.Table:
-            a = batch["a"].to_numpy(zero_copy_only=False)
-            b = batch["b"].to_numpy(zero_copy_only=False)
-            ids_s, txt_s = ray.get(ref)
-            if len(a) == 0 or len(ids_s) == 0:
-                return _OUT_EMPTY
-            ia = np.minimum(np.searchsorted(ids_s, a), len(ids_s) - 1)
-            ib = np.minimum(np.searchsorted(ids_s, b), len(ids_s) - 1)
-            ok = (ids_s[ia] == a) & (ids_s[ib] == b)
-            a, b, ia, ib = a[ok], b[ok], ia[ok], ib[ok]
-            return verify_arrays(a, b, txt_s[ia], txt_s[ib])
-
-        return cands.map_batches(verify, batch_format="pyarrow")
-
-    # cluster-scale attach: two hash joins ship each side's text to its
-    # candidate rows (editdist_verify's shape; forced with
+    # texts attach through stages/pairverify: broadcast up to
+    # broadcast_limit docs, two hash joins above (forced with
     # broadcast_limit=0 in tests — equivalence-pinned)
-    jn = int(min(n_parts, max(2, ray.cluster_resources().get("CPU", 8) // 2)))
-
-    def _as(side: str, tcol: str):
-        def f(t: pa.Table) -> pa.Table:
-            return t.select([id_col, text_col]).rename_columns([side, tcol])
-
-        return narrow.map_batches(f, batch_format="pyarrow")
-
-    joined = (
-        cands.select_columns(["a", "b"])
-        .join(_as("a", "__ta"), join_type="inner", num_partitions=jn,
-              on=("a",), aggregator_ray_remote_args={"num_cpus": 0.5})
-        .join(_as("b", "__tb"), join_type="inner", num_partitions=jn,
-              on=("b",), aggregator_ray_remote_args={"num_cpus": 0.5})
+    return verify_pairs(
+        cands, narrow, check, _OUT_EMPTY, narrow.count() <= broadcast_limit
     )
-
-    def fn_joined(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _OUT_EMPTY
-        return verify_arrays(
-            batch["a"].to_numpy(zero_copy_only=False),
-            batch["b"].to_numpy(zero_copy_only=False),
-            batch["__ta"].to_numpy(zero_copy_only=False),
-            batch["__tb"].to_numpy(zero_copy_only=False),
-        )
-
-    return joined.map_batches(fn_joined, batch_format="pyarrow")

@@ -79,7 +79,8 @@ def _corpus():
 def test_bbit_pipeline_matches_naive_over_same_candidates():
     """End-to-end b=4 pairs == re-deriving agreement + threshold naively
     from per-row reference signatures over the SAME candidate set."""
-    from simhash_ray.stages.minhash import _sig_matrix, minhash_signatures
+    from simhash_ray.stages.minhash import minhash_signatures
+    from simhash_ray.stages.pairverify import unpack_matrix
 
     df = _corpus()
     docs = rd.from_pandas(df).repartition(5)
@@ -96,7 +97,7 @@ def test_bbit_pipeline_matches_naive_over_same_candidates():
         .iter_batches(batch_format="pyarrow", batch_size=65536)
     )
     ids = sig_tbl["id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    lanes = _sig_matrix(sig_tbl["sig"], 64) & np.uint64(15)
+    lanes = unpack_matrix(sig_tbl["sig"], 64) & np.uint64(15)
     lane_of = {int(i): lanes[k] for k, i in enumerate(ids)}
 
     for a, b_, agree in out[["a", "b", "agree"]].itertuples(index=False):
@@ -111,11 +112,16 @@ def test_bbit_pipeline_matches_naive_over_same_candidates():
     assert planted_exact <= got_pairs
 
 
-def test_bbit_deterministic_across_partitionings():
+def test_bbit_deterministic_across_partitionings(monkeypatch):
+    import simhash_ray.stages.bbit as bbit
+
     df = _corpus()
     a = bbit_dup_pairs(rd.from_pandas(df).repartition(7), b=4).to_pandas()
     b_ = bbit_dup_pairs(rd.from_pandas(df).repartition(2), b=4).to_pandas()
+    # the hash-join verify regime, forced through the module's limit
+    monkeypatch.setattr(bbit, "MINHASH_BROADCAST_LIMIT", 0)
+    jn = bbit_dup_pairs(rd.from_pandas(df).repartition(2), b=4, n_parts=2).to_pandas()
     key = ["a", "b", "agree"]
-    assert sorted(map(tuple, a[key].values.tolist())) == sorted(
-        map(tuple, b_[key].values.tolist())
-    )
+    want = sorted(map(tuple, a[key].values.tolist()))
+    assert want == sorted(map(tuple, b_[key].values.tolist()))
+    assert want == sorted(map(tuple, jn[key].values.tolist()))

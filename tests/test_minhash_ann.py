@@ -130,20 +130,23 @@ def test_minhash_band_rows_are_narrow(corpus):
 
 def test_minhash_join_verify_equals_broadcast(corpus):
     """The hash-join verify (scale path) and the broadcast verify
-    produce identical pairs."""
+    produce identical pairs, for the classic and the OPH encoder."""
+    from simhash_ray.stages.oph import oph_dup_pairs
+
     docs = rd.from_pandas(corpus)
-    bc = minhash_dup_pairs(docs, theta=0.6, concurrency=(1, 2)).to_pandas()
-    # small n_parts: the join's shuffle aggregators are actors — at the
-    # 4-CPU test session a wide join would starve (memory: 4-CPU
-    # deadlocks); production n_parts sizes to the cluster
-    jn = minhash_dup_pairs(
-        docs, theta=0.6, concurrency=(1, 2), broadcast_limit=0, n_parts=2
-    ).to_pandas()
 
     def canon(d):
         return sorted(zip(d["a"], d["b"], np.round(d["est_jaccard"], 9)))
 
-    assert canon(bc) == canon(jn)
+    for dup_pairs in (minhash_dup_pairs, oph_dup_pairs):
+        bc = dup_pairs(docs, theta=0.6, concurrency=(1, 2)).to_pandas()
+        # small n_parts: the join's shuffle aggregators are actors — at
+        # the 4-CPU test session a wide join would starve (memory: 4-CPU
+        # deadlocks); production n_parts sizes to the cluster
+        jn = dup_pairs(
+            docs, theta=0.6, concurrency=(1, 2), broadcast_limit=0, n_parts=2
+        ).to_pandas()
+        assert canon(bc) == canon(jn), dup_pairs.__name__
 
 
 def _all_connected_to_zero(pairs, n):

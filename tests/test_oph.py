@@ -7,7 +7,7 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
-from simhash_ray.stages.minhash import _shingle_hashes, _sig_matrix
+from simhash_ray.stages.minhash import _shingle_hashes
 from simhash_ray.stages.oph import (
     _U64_MAX,
     OPHEncoder,
@@ -15,6 +15,7 @@ from simhash_ray.stages.oph import (
     oph_dup_pairs,
     oph_signatures,
 )
+from simhash_ray.stages.pairverify import unpack_matrix
 
 
 def _random_corpus(n=120, seed=11):
@@ -40,7 +41,7 @@ def _encode(df: pd.DataFrame, n_perm=64, batch_rows=None) -> np.ndarray:
     outs = [enc(p) for p in pieces]
     out = pa.concat_tables(outs)
     order = np.argsort(out["id"].to_numpy(zero_copy_only=False))
-    return _sig_matrix(out["sig"].combine_chunks(), n_perm)[order]
+    return unpack_matrix(out["sig"].combine_chunks(), n_perm)[order]
 
 
 def test_encoder_matches_per_row_reference():
