@@ -105,31 +105,14 @@ def cmd_dedup(args) -> int:
             "config_hash": cfg.config_hash(),
         }
         if args.survivors:
-            import pyarrow as pa
-            import pyarrow.compute as pc
-            import ray as _ray
+            from .pipelines.curate import id_set_filter
 
             dropped = assignment.filter(expr="tier != 'survivor'")
             metrics["n_survivors"] = metrics["n_rows"] - dropped.count()
-            dup_ref = _ray.put(
-                pa.array(
-                    dropped.select_columns(["image_id"]).to_pandas()["image_id"],
-                    type=pa.string(),
-                )
-            )
-
-            def keep(batch: "pa.Table") -> "pa.Table":
-                mask = pc.invert(
-                    pc.is_in(
-                        batch["image_id"].cast(pa.string()),
-                        value_set=_ray.get(dup_ref),
-                    )
-                )
-                return batch.filter(mask)
-
-            images.map_batches(keep, batch_format="pyarrow").write_parquet(
-                os.path.join(args.out, "survivors")
-            )
+            id_set_filter(
+                images, dropped, keep=False, id_col="image_id",
+                limit=flagship.BROADCAST_LIMIT,
+            ).write_parquet(os.path.join(args.out, "survivors"))
         with open(os.path.join(args.out, "metrics.json"), "w") as f:
             json.dump(metrics, f, indent=2)
         print(json.dumps(metrics))

@@ -28,12 +28,13 @@ Shuffle inventory (scale notes):
                          over the PRUNED survivor set: shuffle-free
                          broadcast banding up to BROADCAST_SIG_LIMIT
                          rows, collapse + band groupby above it.
-  3. survivor filter   — broadcast of the dropped-id set when small
-                         (the typical case: dups ≪ corpus), hash join
-                         on survivor ids otherwise.
-  4. composition       — joins move only (member, keeper) pairs of
-                         DROPPED rows: bounded by the dup count, never
-                         the corpus size.
+  3. survivor filter   — curate.id_set_filter's anti-join: broadcast
+                         of the dropped-id set when small (the typical
+                         case: dups ≪ corpus), hash join otherwise.
+  4. composition       — keeper maps attach by stages.joins.lookup and
+                         move only (member, keeper) pairs of DROPPED
+                         rows: bounded by the dup count, never the
+                         corpus size.
 
 The caller owns ``ray.init`` (driver contract, __ray_entry__.py).
 """
@@ -43,15 +44,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 import ray.data as rd
 
 from ..config import DEFAULT_CONFIG, DedupConfig
-from ..stages.cluster import lookup_exact
+from ..stages.cluster import label_or_self
 from ..stages.collapse import dedup_exact_bytes
+from ..stages.joins import lookup
 from ..stages.lsh import IMAGE_SPACE, TEXT_SPACE
 from .dedup_images import (
     BROADCAST_LIMIT,
@@ -59,6 +59,7 @@ from .dedup_images import (
     dedup_signatures,
     signatures,
 )
+from .curate import id_set_filter
 
 # tier name → (LSH space tag, signature column, cfg attribute)
 SIG_TIERS = {
@@ -83,87 +84,14 @@ class CascadeResult:
     signatures: rd.Dataset | None = None
 
 
-def _n_join() -> int:
-    # chained-join sessions starve aggregator actors above CPU//4
-    # partitions (measured; see BASELINE.md join-deadlock note)
-    return int(min(8, max(2, ray.cluster_resources().get("CPU", 8) // 4)))
-
-
-def _drop_rows(
-    ds: rd.Dataset,
-    dropped: rd.Dataset,
-    n_dropped: int,
-    limit: int,
-    id_col: str = "image_id",
-) -> rd.Dataset:
-    """Filter ``ds`` down to rows whose id is NOT in ``dropped``.
-
-    Broadcast anti-filter below ``limit`` dropped ids (the wide rows
-    never shuffle); above it a left join against the dropped map +
-    null-keeper filter (anti-join) takes over."""
-    if n_dropped == 0:
-        return ds
-    if n_dropped <= limit:
-        dup_df = dropped.select_columns([id_col]).to_pandas()
-        dup_ref = ray.put(pa.array(dup_df[id_col]))
-
-        def keep(batch: pa.Table) -> pa.Table:
-            dups = ray.get(dup_ref)
-            mask = pc.invert(
-                pc.is_in(batch[id_col].cast(dups.type), value_set=dups)
-            )
-            return batch.filter(mask)
-
-        return ds.map_batches(keep, batch_format="pyarrow")
-    joined = ds.join(
-        dropped.select_columns([id_col, "keeper_id"]),
-        join_type="left_outer",
-        num_partitions=_n_join(),
-        on=(id_col,),
-        aggregator_ray_remote_args={"num_cpus": 0.5},
-    )
-    return joined.map_batches(
-        lambda t: t.filter(pc.is_null(t["keeper_id"])).drop_columns(["keeper_id"]),
-        batch_format="pyarrow",
-    )
-
-
 def _remap_keeper(
-    m: rd.Dataset, f: rd.Dataset, n_f: int, limit: int, id_col: str = "image_id"
+    m: rd.Dataset, f: rd.Dataset, limit: int, id_col: str = "image_id"
 ) -> rd.Dataset:
     """Rewrite ``m.keeper_id`` through the later-tier map ``f``: a
     keeper that was itself dropped later resolves to ITS final keeper
     (chains are id-decreasing, so one pass per tier suffices)."""
-    if n_f <= limit:
-        f_df = f.select_columns([id_col, "keeper_id"]).to_pandas()
-        map_ref = ray.put(
-            pd.Series(
-                f_df["keeper_id"].to_numpy(), index=f_df[id_col].to_numpy()
-            )
-        )
-
-        def remap(batch: pa.Table) -> pa.Table:
-            keep = batch["keeper_id"].to_numpy(zero_copy_only=False)
-            resolved = lookup_exact(keep, ray.get(map_ref), keep)
-            return pa.table(
-                {
-                    id_col: batch[id_col],
-                    "keeper_id": pa.array(resolved, type=batch["keeper_id"].type),
-                    "tier": batch["tier"],
-                }
-            )
-
-        return m.map_batches(remap, batch_format="pyarrow")
-    f_r = f.select_columns([id_col, "keeper_id"]).map_batches(
-        lambda t: t.rename_columns(["keeper_id", "final_keeper"]),
-        batch_format="pyarrow",
-    )
-    joined = m.join(
-        f_r,
-        join_type="left_outer",
-        num_partitions=_n_join(),
-        on=("keeper_id",),
-        aggregator_ray_remote_args={"num_cpus": 0.5},
+    final = f.select_columns([id_col, "keeper_id"]).rename_columns(
+        {id_col: "keeper_id", "keeper_id": "final_keeper"}
     )
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -171,81 +99,48 @@ def _remap_keeper(
         return pa.table(
             {
                 id_col: batch[id_col],
-                "keeper_id": pc.coalesce(
-                    batch["final_keeper"].cast(keeper.type), keeper
+                "keeper_id": label_or_self(
+                    batch["final_keeper"], keeper, keeper.type
                 ),
                 "tier": batch["tier"],
             }
         )
 
-    return joined.map_batches(finish, batch_format="pyarrow")
+    return lookup(m, "keeper_id", final, limit).map_batches(
+        finish, batch_format="pyarrow"
+    )
 
 
 def _attach_final(
-    ids: rd.Dataset,
-    f: rd.Dataset | None,
-    n_f: int,
-    limit: int,
-    id_col: str = "image_id",
+    ids: rd.Dataset, f: rd.Dataset | None, limit: int, id_col: str = "image_id"
 ) -> rd.Dataset:
     """(id) × composed map → (id, cluster_id, tier); unmatched rows
     are their own cluster with tier='survivor'."""
-    if f is None or n_f == 0:
-        return ids.map_batches(
-            lambda t: pa.table(
-                {
-                    id_col: t[id_col],
-                    "cluster_id": t[id_col].combine_chunks()
-                    if isinstance(t[id_col], pa.ChunkedArray)
-                    else t[id_col],
-                    "tier": pa.array(["survivor"] * len(t), type=pa.string()),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-    if n_f <= limit:
-        f_df = f.to_pandas()
-        idx = f_df[id_col].to_numpy()
-        keep_ref = ray.put(pd.Series(f_df["keeper_id"].to_numpy(), index=idx))
-        tier_ref = ray.put(pd.Series(f_df["tier"].to_numpy(), index=idx))
-
-        def attach(batch: pa.Table) -> pa.Table:
-            vals = batch[id_col].to_numpy(zero_copy_only=False)
-            cluster = lookup_exact(vals, ray.get(keep_ref), vals)
-            tier = lookup_exact(
-                vals, ray.get(tier_ref), np.full(len(vals), "survivor", object)
-            )
-            return pa.table(
-                {
-                    id_col: batch[id_col],
-                    "cluster_id": pa.array(cluster, type=batch[id_col].type),
-                    "tier": pa.array(tier, type=pa.string()),
-                }
-            )
-
-        return ids.map_batches(attach, batch_format="pyarrow")
-    joined = ids.join(
-        f,
-        join_type="left_outer",
-        num_partitions=_n_join(),
-        on=(id_col,),
-        aggregator_ray_remote_args={"num_cpus": 0.5},
-    )
 
     def finish(batch: pa.Table) -> pa.Table:
         sid = batch[id_col]
-        sid = sid.combine_chunks() if isinstance(sid, pa.ChunkedArray) else sid
+        if f is None:
+            return pa.table(
+                {
+                    id_col: sid,
+                    "cluster_id": sid,
+                    "tier": pa.array(["survivor"] * len(sid), type=pa.string()),
+                }
+            )
         return pa.table(
             {
                 id_col: sid,
-                "cluster_id": pc.coalesce(batch["keeper_id"].cast(sid.type), sid),
+                "cluster_id": label_or_self(batch["keeper_id"], sid, sid.type),
                 "tier": pc.coalesce(
                     batch["tier"].cast(pa.string()), pa.scalar("survivor")
                 ),
             }
         )
 
-    return joined.map_batches(finish, batch_format="pyarrow")
+    if f is not None:
+        f = f.select_columns([id_col, "keeper_id", "tier"])
+        ids = lookup(ids, id_col, f, limit)
+    return ids.map_batches(finish, batch_format="pyarrow")
 
 
 def _with_tier(m: rd.Dataset, tier: str) -> rd.Dataset:
@@ -313,7 +208,7 @@ def dedup_images_cascade(
                     # restrict to the alive set (ids dropped by earlier
                     # tiers must not re-enter)
                     for _, prev in tier_maps:
-                        sigs = _drop_rows(sigs, prev, prev.count(), limit)
+                        sigs = id_set_filter(sigs, prev, False, "image_id", limit)
                 else:
                     sigs = signatures(narrow, cfg, concurrency=concurrency)
                 sigs = sigs.materialize()
@@ -336,28 +231,27 @@ def dedup_images_cascade(
         # prune the alive set for the NEXT tier (skip after the last)
         if tier_idx + 1 < len(tiers) and n_dropped:
             if sigs is not None:
-                sigs = _drop_rows(sigs, dropped, n_dropped, limit).materialize()
+                sigs = id_set_filter(
+                    sigs, dropped, False, "image_id", limit
+                ).materialize()
             else:
-                current = _drop_rows(current, dropped, n_dropped, limit)
-                narrow = _drop_rows(narrow, dropped, n_dropped, limit)
+                current = id_set_filter(current, dropped, False, "image_id", limit)
+                narrow = id_set_filter(narrow, dropped, False, "image_id", limit)
 
     # ---- compose maps, last tier backwards -------------------------------
     final: rd.Dataset | None = None
-    n_final = 0
     for tier, m in reversed(tier_maps):
-        n_m = tier_drops[tier]
-        if n_m == 0:
+        if tier_drops[tier] == 0:
             continue
         m_t = _with_tier(m, tier)
         if final is None:
             final = m_t
         else:
-            final = _remap_keeper(m_t, final, n_final, limit).union(final)
-        n_final += n_m
+            final = _remap_keeper(m_t, final, limit).union(final)
         final = final.materialize()
 
     ids = images.select_columns(["image_id"])
-    assignment = _attach_final(ids, final, n_final, limit)
+    assignment = _attach_final(ids, final, limit)
     return CascadeResult(
         assignment=assignment,
         tier_maps=tier_maps,
@@ -426,7 +320,7 @@ def dedup_docs_cascade(
     ).materialize()
     n1 = dropped1.count()
 
-    survivors1 = _drop_rows(narrow, dropped1, n1, limit, id_col)
+    survivors1 = id_set_filter(narrow, dropped1, False, id_col, limit)
     a2 = minhash_dedup(
         survivors1, theta, text_col, id_col, shingle_k, n_perm, n_bands,
         concurrency, n_parts, broadcast_limit=limit, pairs=pairs,
@@ -443,22 +337,19 @@ def dedup_docs_cascade(
     tier_drops = {"exact": n1, "minhash": n2}
 
     final = None
-    n_final = 0
     if n2:
         final = _with_tier(dropped2, "minhash").materialize()
-        n_final = n2
     if n1:
         m1_t = _with_tier(dropped1, "exact")
         if final is None:
             final = m1_t.materialize()
         else:
-            final = _remap_keeper(m1_t, final, n_final, limit, id_col).union(
+            final = _remap_keeper(m1_t, final, limit, id_col).union(
                 final
             ).materialize()
-        n_final += n1
 
     ids = docs.select_columns([id_col])
-    assignment = _attach_final(ids, final, n_final, limit, id_col)
+    assignment = _attach_final(ids, final, limit, id_col)
     return CascadeResult(
         assignment=assignment, tier_maps=tier_maps, tier_drops=tier_drops
     )

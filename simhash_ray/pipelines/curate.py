@@ -17,9 +17,10 @@ directory + lineage manifest via state/manifest.CheckpointedRun, so a
 killed run resumes at the first uncommitted stage — same resume
 semantics as pipelines/dedup_images).
 
-Scale shape: both id-set filters (:func:`id_set_filter`) broadcast
-below ``CURATION_BROADCAST_LIMIT`` ids and hash-join above it; the
-dedup election shuffles only (set_key, doc_id) rows.
+Scale shape: both id-set filters (:func:`id_set_filter`, the package's
+one semi/anti filter, built on ``stages.joins.lookup``) broadcast below
+``CURATION_BROADCAST_LIMIT`` ids and hash-join above it; the dedup
+election shuffles only (set_key, doc_id) rows.
 """
 
 from __future__ import annotations
@@ -29,18 +30,19 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 import ray.data as rd
 from ray.data.aggregate import Count, Min
 
 from ..functions.hashing import md5_first_byte_of_int_ids
 from ..stages import text as text_ops
 from ..stages.decontam import decontaminate
+from ..stages.joins import lookup
 
 CURATION_LANGS = ("de", "en", "es", "fr")
 # id-set filters broadcast below this many ids (int64 → 160 MB at the
 # limit, one ray.put shared zero-copy); above it a hash join takes over
 CURATION_BROADCAST_LIMIT = 20_000_000
+_HIT = "__hit"  # id_set_filter's marker column
 
 
 def tokenset_keyed(batch: pa.Table) -> pa.Table:
@@ -72,64 +74,38 @@ def id_set_filter(
     keep: bool,
     id_col: str = "doc_id",
     limit: int = CURATION_BROADCAST_LIMIT,
-    n_parts: int = 32,
 ) -> rd.Dataset:
     """Semi-join (``keep=True``) or anti-join (``keep=False``) ``ds``
-    against the id set in ``ids_ds`` — broadcast-set filter below
-    ``limit`` ids, ``Dataset.join`` above it (inner for semi; left
-    outer + null-marker filter for anti), mirroring
-    ``dedup_images.survivors``."""
-    # join partitions sized to the session: each aggregator actor
-    # reserves 0.5 CPU, so a fixed count can starve a small cluster
-    n_parts = int(min(n_parts, max(2, ray.cluster_resources().get("CPU", 8) // 2)))
-    # materialize before count(): the id pipeline is often expensive
-    # (dedup election, decontamination probe) and count() would
-    # otherwise execute it once and the collect/join a second time
-    ids_ds = ids_ds.materialize()
-    n = ids_ds.count()
-    if n == 0:
-        return ds if not keep else ds.limit(0)
-    if n <= limit:
-        id_arr = pa.array(ids_ds.to_pandas()[id_col])
-        ref = ray.put(id_arr)
-
-        def f(batch: pa.Table) -> pa.Table:
-            mask = pc.is_in(batch[id_col], value_set=ray.get(ref))
-            return batch.filter(mask if keep else pc.invert(mask))
-
-        return ds.map_batches(f, batch_format="pyarrow")
-    if keep:
-        # inner join replicates rows per duplicate id — pre-distinct so
-        # the join path keeps the broadcast path's SET semantics (the
-        # anti path below is duplicate-safe: matched rows are dropped
-        # however many times they match, unmatched join exactly once)
-        distinct_ids = (
-            ids_ds.groupby(id_col)
-            .aggregate(Count(alias_name="__n"))
-            .select_columns([id_col])
+    against the id set in ``ids_ds``: one :func:`stages.joins.lookup` of
+    a marker column (broadcast at or below ``limit`` ids, hash join
+    above), then a filter on whether the marker came back.  The one
+    id filter: ``dedup_images.survivors``, the cascade's tier filters
+    and the CLI's cascade survivors call it too."""
+    # marked and materialized in one pass: the id pipeline is often
+    # expensive (dedup election, decontamination probe) and is read
+    # twice (count and lookup); the typed block carries the schema when
+    # there are no ids
+    marked = (
+        ids_ds.select_columns([id_col])
+        .map_batches(
+            lambda t: t.append_column(_HIT, pa.array(np.ones(t.num_rows, dtype=bool))),
+            batch_format="pyarrow",
         )
-        return ds.join(
-            distinct_ids,
-            join_type="inner",
-            num_partitions=n_parts,
-            on=(id_col,),
-            aggregator_ray_remote_args={"num_cpus": 0.5},
+        .union(
+            rd.from_arrow(
+                pa.table({id_col: pa.array([]), _HIT: pa.array([], type=pa.bool_())})
+            )
         )
-    marked = ids_ds.map_batches(
-        lambda t: t.append_column(
-            "__hit", pa.array(np.ones(t.num_rows, dtype=bool))
-        ),
-        batch_format="pyarrow",
+        .materialize()
     )
-    joined = ds.join(
-        marked,
-        join_type="left_outer",
-        num_partitions=n_parts,
-        on=(id_col,),
-        aggregator_ray_remote_args={"num_cpus": 0.5},
-    )
-    return joined.map_batches(
-        lambda t: t.filter(pc.is_null(t["__hit"])).drop_columns(["__hit"]),
+    if keep and marked.count() > limit:
+        # the join regime repeats a row once per duplicate id — distinct
+        # ids keep SET semantics (the anti filter drops a matched row
+        # however often it matches); the count is a non-null marker
+        marked = marked.groupby(id_col).aggregate(Count(alias_name=_HIT))
+    present = pc.is_valid if keep else pc.is_null
+    return lookup(ds, id_col, marked, limit).map_batches(
+        lambda t: t.filter(present(t[_HIT])).drop_columns([_HIT]),
         batch_format="pyarrow",
     )
 

@@ -22,9 +22,10 @@ Shuffle inventory (scale notes):
   1. collapse groupby     — narrow (id, 2×int64) rows
   2. band-bucket groupby  — 56 narrow rows per *distinct* signature
   3. CC rounds            — only nodes with verified edges
-  4. survivor rejoin      — broadcast of the dup-id set when small,
-                            hash `Dataset.join` on image_id otherwise;
-                            the wide `bytes` column moves exactly once.
+  4. survivor rejoin      — curate.id_set_filter's anti-join on image_id
+                            (stages.joins.lookup: broadcast of the dup-id
+                            set when small, hash join otherwise); the
+                            wide `bytes` column moves at most once.
 
 The caller owns `ray.init` (driver contract, /root/repo/__ray_entry__.py).
 """
@@ -47,9 +48,12 @@ from ..stages.cluster import (
     connected_components,
     dedupe_edges,
     distinct_edges,
+    label_or_self,
+    label_table,
     unionfind_driver,
 )
 from ..stages.encode import encode_signatures
+from ..stages.joins import lookup
 from ..stages.lsh import (
     IMAGE_SPACE,
     TEXT_SPACE,
@@ -578,29 +582,39 @@ def _attach_by_own_id(
     key_col: str | None = None,
     id_type: pa.DataType = pa.string(),
 ) -> rd.Dataset:
-    """Attach cluster ids from a collected (node → label) map, broadcast
-    once: each row's cluster is the label of its ``key_col`` (its own
-    id by default — the direct regime, where nodes ARE ids; ``rep_id``
-    after an exact collapse), else the key itself.  Exact for every id
-    type (stages.cluster.attach_labels)."""
-    from ..stages.cluster import attach_labels
-
+    """Attach cluster ids from a collected (node → label) frame: each
+    row's cluster is the label of its ``key_col`` (its own id by default
+    — the direct regime, where nodes ARE ids; ``rep_id`` after an exact
+    collapse), else the key itself."""
     key_col = key_col or id_col
-    label_ref = ray.put(label_df)
+    labels = label_table(label_df, id_type, key_col)
+    return _attach_labels(rows, labels, BROADCAST_SIG_LIMIT, id_col, key_col, id_type)
 
-    def attach(batch: pa.Table) -> pa.Table:
-        key = batch[key_col].to_numpy(zero_copy_only=False)
-        cluster = pa.array(attach_labels(key, ray.get(label_ref)), type=id_type)
+
+def _attach_labels(
+    rows: rd.Dataset,
+    labels: rd.Dataset | pa.Table,
+    limit: int,
+    id_col: str,
+    key_col: str,
+    id_type: pa.DataType,
+) -> rd.Dataset:
+    """(id, cluster_id, is_representative): the (``key_col``, label)
+    table's label of each row's key (stages.joins.lookup), else the key."""
+
+    def finish(batch: pa.Table) -> pa.Table:
+        cluster = label_or_self(batch["label"], batch[key_col], id_type)
         return pa.table(
             {
                 id_col: batch[id_col],
                 "cluster_id": cluster,
-                "is_representative": pc.equal(batch[id_col], cluster),
+                "is_representative": pc.equal(batch[id_col].cast(id_type), cluster),
             }
         )
 
-    return rows.select_columns(list(dict.fromkeys([id_col, key_col]))).map_batches(
-        attach, batch_format="pyarrow"
+    keys = rows.select_columns(list(dict.fromkeys([id_col, key_col])))
+    return lookup(keys, key_col, labels, limit).map_batches(
+        finish, batch_format="pyarrow"
     )
 
 
@@ -622,56 +636,26 @@ def attach_clusters(
     The verified edge set is tiny relative to the input (only near-dup
     pairs): below BROADCAST_LIMIT run union-find on the driver (one
     collect, zero extra shuffles); above it, the distributed min-label-
-    propagation rounds + a hash ``Dataset.join`` take over
-    (``broadcast_limit=0`` forces that path — equivalence-tested in
+    propagation rounds, whose labels attach by a broadcast below
+    BROADCAST_LIMIT labels and a hash join above it
+    (``broadcast_limit=0`` forces both — equivalence-tested in
     tests/test_pipeline.py)."""
     from ..stages import cluster
 
     limit = BROADCAST_LIMIT if broadcast_limit is None else broadcast_limit
-    n_edges = edges.count()
-    labels = None
-    if n_edges <= limit:
+    if edges.count() <= limit:
         label_df = cluster.unionfind_driver(edges.to_pandas())
         n_nodes = len(label_df)
+        assignment = _attach_by_own_id(collapsed, label_df, id_col, key_col, id_type)
     else:  # cluster-scale path
         labels = connected_components(
             edges, cfg.max_cluster_rounds, n_parts, id_type
-        )
+        ).materialize()
         n_nodes = labels.count()
-        label_df = labels.to_pandas() if n_nodes <= limit else None
-
-    if label_df is not None:
-        assignment = _attach_by_own_id(collapsed, label_df, id_col, key_col, id_type)
-    else:  # exercised at cluster scale (>BROADCAST_LIMIT labels)
-        joined = collapsed.select_columns(
-            list(dict.fromkeys([id_col, key_col]))
-        ).join(
-            labels.map_batches(
-                lambda t: t.rename_columns([key_col, "label"]),
-                batch_format="pyarrow",
-            ),
-            join_type="left_outer",
-            num_partitions=n_parts,
-            on=(key_col,),
+        assignment = _attach_labels(
+            collapsed, labels.rename_columns({"node": key_col}), limit,
+            id_col, key_col, id_type,
         )
-
-        def finish(batch: pa.Table) -> pa.Table:
-            # cluster = label, falling back to the key for rows whose
-            # key has no verified edge (no join match)
-            cluster_id = pc.coalesce(
-                batch["label"].cast(id_type), batch[key_col].cast(id_type)
-            )
-            return pa.table(
-                {
-                    id_col: batch[id_col],
-                    "cluster_id": cluster_id,
-                    "is_representative": pc.equal(
-                        batch[id_col].cast(id_type), cluster_id
-                    ),
-                }
-            )
-
-        assignment = joined.map_batches(finish, batch_format="pyarrow")
 
     # n_clusters = distinct cluster ids among NON-representative rows —
     # one regime-independent definition (the label-set count missed
@@ -875,43 +859,18 @@ def sharded_signatures_checkpointed(
 def survivors(
     images: rd.Dataset,
     result: DedupResult,
-    n_parts: int = 64,
     broadcast_limit: int | None = None,
 ) -> rd.Dataset:
-    """Semi-join the byte-bearing table down to cluster representatives.
+    """Anti-join the byte-bearing table against the non-representative
+    ids (pipelines.curate.id_set_filter): below ``broadcast_limit`` dup
+    ids the id set is broadcast and the wide ``bytes`` rows are filtered
+    in place, never shuffled; above it a hash join takes over (forced
+    with 0 in tests)."""
+    from .curate import id_set_filter
 
-    Ships the small side (non-representative ids) as a broadcast set;
-    the wide ``bytes`` rows are filtered in place, never shuffled.
-    Above ``broadcast_limit`` dup ids, an inner hash join on the
-    representative ids takes over (forced with 0 in tests)."""
     limit = BROADCAST_LIMIT if broadcast_limit is None else broadcast_limit
-    dup_ids_ds = result.assignment.filter(expr="is_representative == False")
-    n_dups = dup_ids_ds.count()
-    if n_dups == 0:  # nothing to drop (an empty Dataset loses its schema)
-        return images
-    if n_dups <= limit:
-        dup_df = dup_ids_ds.select_columns(["image_id"]).to_pandas()
-        dup_ref = ray.put(pa.array(dup_df["image_id"], type=pa.string()))
-
-        def keep(batch: pa.Table) -> pa.Table:
-            dups = ray.get(dup_ref)
-            mask = pc.invert(
-                pc.is_in(batch["image_id"].cast(pa.string()), value_set=dups)
-            )
-            return batch.filter(mask)
-
-        return images.map_batches(keep, batch_format="pyarrow")
-    # large-scale path: hash semi-join on image_id
-    reps = result.assignment.filter(expr="is_representative == True").select_columns(
-        ["image_id"]
-    )
-    return images.join(
-        reps,
-        join_type="inner",
-        num_partitions=n_parts,
-        on=("image_id",),
-        aggregator_ray_remote_args={"num_cpus": 0.5},
-    )
+    dups = result.assignment.filter(expr="is_representative == False")
+    return id_set_filter(images, dups, keep=False, id_col="image_id", limit=limit)
 
 
 def planted_pair_recall(

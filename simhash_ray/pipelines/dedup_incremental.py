@@ -68,11 +68,13 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
 from ..config import DEFAULT_CONFIG, DedupConfig
-from ..stages.cluster import attach_labels, unionfind_driver
+from ..stages.cluster import cluster_of, label_or_self, unionfind_driver
+from ..stages.joins import lookup
 from ..stages.lsh import TEXT_SPACE, band_keys
 from .dedup_images import (
     BROADCAST_SIG_LIMIT,
@@ -393,7 +395,8 @@ def _fold_shard(
 
     # 5. shard assignment + base-cluster remap
     new_ids = new_df[id_col].to_numpy(dtype=object)
-    final = attach_labels(new_ids, labels)
+    shard = pa.array(new_ids, type=id_type)
+    final = np.asarray(cluster_of(shard, labels).to_pylist(), dtype=object)
     assignment_new = rd.from_arrow(
         pa.table(
             {
@@ -442,22 +445,26 @@ def apply_remap(
     """Rewrite base cluster ids per ``remap`` (merges caused by shard
     rows bridging base clusters, or a shard id becoming the new min
     label) and recompute is_representative — one broadcast
-    map_batches, no shuffle."""
-    remap_ref = ray.put(dict(zip(remap["old_cluster"], remap["new_cluster"])))
+    :func:`stages.joins.lookup`, no shuffle, exact for every id type."""
+    table = pa.table(
+        {
+            "cluster_id": pa.array(remap["old_cluster"].to_numpy(dtype=object)),
+            "new_cluster": pa.array(remap["new_cluster"].to_numpy(dtype=object)),
+        }
+    )
 
-    def fn(batch: pa.Table) -> pa.Table:
-        rm = ray.get(remap_ref)
+    def finish(batch: pa.Table) -> pa.Table:
         id_type = batch[id_col].type
-        cl = pd.Series(batch["cluster_id"].to_numpy(zero_copy_only=False))
-        mapped = cl.map(rm)
-        cl = mapped.where(mapped.notna(), cl)
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
+        cluster = label_or_self(batch["new_cluster"], batch["cluster_id"], id_type)
         return pa.table(
             {
-                id_col: pa.array(ids, type=id_type),
-                "cluster_id": pa.array(cl.to_numpy(dtype=object), type=id_type),
-                "is_representative": pa.array(ids == cl.to_numpy(dtype=object)),
+                id_col: batch[id_col],
+                "cluster_id": cluster,
+                "is_representative": pc.equal(batch[id_col], cluster),
             }
         )
 
-    return base_assignment.map_batches(fn, batch_format="pyarrow")
+    return lookup(
+        base_assignment.select_columns([id_col, "cluster_id"]), "cluster_id",
+        table, BROADCAST_SIG_LIMIT,
+    ).map_batches(finish, batch_format="pyarrow")

@@ -26,6 +26,7 @@ from ..fixtures import FixtureSpec, default_fixture_dir, write_fixture
 from ..sources.tables import read_table
 from ..stages import text as text_ops
 from ..stages.ann import brute_force_topk, cosine_dup_pairs
+from ..stages.joins import hash_join, lookup
 from ..stages.minhash import all_pairs_jaccard
 from ..stages.multimodal import image_stats
 from ..stages.window import sessionize, tumbling_window_agg
@@ -302,10 +303,11 @@ SEGMENT_BROADCAST_LIMIT = 5_000_000
 
 def q_segment_revenue(sf_dir: str, broadcast_limit: int | None = None):
     """Broadcast hash join (small dimension side via ray.put) +
-    pre-aggregated groupby — the ray_guide join pattern.  Dimension
-    sides above ``SEGMENT_BROADCAST_LIMIT`` rows switch to the
-    distributed ``Dataset.join`` (equivalence-tested by forcing
-    ``broadcast_limit=0``)."""
+    pre-aggregated groupby — the ray_guide join pattern, through
+    ``stages.joins.lookup``.  Dimension sides above
+    ``SEGMENT_BROADCAST_LIMIT`` rows switch to the distributed hash join
+    (equivalence-tested by forcing ``broadcast_limit=0``); orders of an
+    unknown customer drop out with their null segment."""
     limit = SEGMENT_BROADCAST_LIMIT if broadcast_limit is None else broadcast_limit
     cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
     orders = read_table(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
@@ -325,40 +327,9 @@ def q_segment_revenue(sf_dir: str, broadcast_limit: int | None = None):
         agg = df.groupby("c_mktsegment", as_index=False).sum()
         return pa.Table.from_pandas(agg, preserve_index=False, schema=partial_schema)
 
-    if cust.count() > limit:
-        # join partitions sized to the session (a fixed count can starve
-        # small sessions — see q_images_dedup_truth / BASELINE.md)
-        n_join = int(min(8, max(2, ray.cluster_resources().get("CPU", 8) // 2)))
-        joined = orders.join(
-            cust,
-            join_type="inner",
-            num_partitions=n_join,
-            on=("o_custkey",),
-            right_on=("c_custkey",),
-            aggregator_ray_remote_args={"num_cpus": 0.5},
-        )
-        pre = joined.map_batches(
-            lambda df: cents_partial(df), batch_format="pandas"
-        )
-    else:
-        cust_df = cust.to_pandas()
-        lookup_ref = ray.put(dict(zip(cust_df["c_custkey"], cust_df["c_mktsegment"])))
-
-        def partial(batch: pa.Table) -> pa.Table:
-            lm = ray.get(lookup_ref)
-            df = pd.DataFrame(
-                {
-                    "c_mktsegment": pd.Series(
-                        batch["o_custkey"].to_numpy(zero_copy_only=False)
-                    ).map(lm),
-                    "o_totalprice": batch["o_totalprice"].to_numpy(
-                        zero_copy_only=False
-                    ),
-                }
-            )
-            return cents_partial(df)
-
-        pre = orders.map_batches(partial, batch_format="pyarrow")
+    pre = lookup(
+        orders, "o_custkey", cust.rename_columns({"c_custkey": "o_custkey"}), limit
+    ).map_batches(cents_partial, batch_format="pandas")
 
     out = pre.groupby("c_mktsegment").aggregate(
         Sum("revenue", alias_name="revenue"), Sum("n_orders", alias_name="n_orders")
@@ -1481,17 +1452,7 @@ def q_order_priority_revenue(sf_dir: str):
         lambda t: t.rename_columns(["l_orderkey", "o_orderpriority"]),
         batch_format="pyarrow",
     )
-    # join partitions sized to the session: the hash-shuffle spawns one
-    # aggregator actor per partition — a fixed 8 would starve small
-    # (≤4-CPU) sessions
-    n_join = max(2, min(8, int(ray.cluster_resources().get("CPU", 8)) // 2))
-    joined = li_agg.join(
-        orders_k,
-        join_type="inner",
-        num_partitions=n_join,
-        on=("l_orderkey",),
-        aggregator_ray_remote_args={"num_cpus": 0.5},
-    )
+    joined = hash_join(li_agg, orders_k, "l_orderkey", "inner")
     out = joined.groupby("o_orderpriority").aggregate(
         Sum("rev_c", alias_name="rev_c"), Count(alias_name="n_orders")
     )
@@ -1718,7 +1679,8 @@ def q_doc_tfidf_topk(sf_dir: str):
 
     docs = _docs(sf_dir, columns=["doc_id", "text"])
     n_docs = docs.count()
-    dt = doc_term_freqs(docs)
+    # stored once: the df table and the join both read it
+    dt = doc_term_freqs(docs).materialize()
 
     def df_part(batch: pa.Table) -> pa.Table:
         # dt rows are distinct per (doc, tok) → block-local counts per
@@ -1736,14 +1698,7 @@ def q_doc_tfidf_topk(sf_dir: str):
         .groupby("tok")
         .aggregate(Sum("df", alias_name="df"))
     )
-    n_join = max(2, min(8, int(ray.cluster_resources().get("CPU", 8)) // 2))
-    joined = dt.join(
-        df,
-        join_type="inner",
-        num_partitions=n_join,
-        on=("tok",),
-        aggregator_ray_remote_args={"num_cpus": 0.5},
-    )
+    joined = hash_join(dt, df, "tok", "inner")
 
     def score(batch: pa.Table) -> pa.Table:
         tf = batch["tf"].to_numpy(zero_copy_only=False).astype(np.float64)
@@ -3212,7 +3167,8 @@ def q_doc_dedup_cascade(sf_dir: str):
     keeper-chain composition + tier attribution."""
     from ..stages.minhash import _banded_candidate_pairs, minhash_signatures
     from ..stages.pairverify import unpack_matrix
-    from .cascade import _drop_rows, dedup_docs_cascade
+    from .cascade import dedup_docs_cascade
+    from .curate import id_set_filter
 
     docs = _docs(sf_dir, columns=["doc_id", "text"])
     res = dedup_docs_cascade(docs, concurrency=(1, 4))
@@ -3221,9 +3177,7 @@ def q_doc_dedup_cascade(sf_dir: str):
     # staging: re-derive the tier-2 inputs from the cascade's own
     # exact-tier map (deterministic — identical to what tier 2 saw)
     _, dropped1 = res.tier_maps[0]
-    survivors = _drop_rows(
-        docs, dropped1, res.tier_drops["exact"], 2_000_000, "doc_id"
-    )
+    survivors = id_set_filter(docs, dropped1, False, "doc_id", 2_000_000)
     sig_ds = minhash_signatures(
         survivors, shingle_k=2, concurrency=(1, 4)
     ).materialize()
@@ -4089,19 +4043,10 @@ def q_doc_dedup_report(sf_dir: str):
         ),
         "doc_dedup_report_assign",
     )
-    import ray as _ray
-
-    jn = int(max(2, _ray.cluster_resources().get("CPU", 8) // 2))
     lang = docs.select_columns(["doc_id", "lang"]).map_batches(
         lambda t: t.filter(pc.is_valid(t["lang"])), batch_format="pyarrow"
     )
-    joined = assign.join(
-        lang,
-        join_type="inner",
-        num_partitions=jn,
-        on=("doc_id",),
-        aggregator_ray_remote_args={"num_cpus": 0.5},
-    )
+    joined = hash_join(assign, lang, "doc_id", "inner")
 
     def partial(t: pa.Table) -> pa.Table:
         import pandas as _pd
@@ -5572,7 +5517,7 @@ def q_images_embed_dedup(sf_dir: str):
         return pa.table({"vec_id": ids, "embedding": batch["embedding"]})
 
     vecs = emb.map_batches(to_int, batch_format="pyarrow").materialize()
-    members, reps = collapse_identical_vectors(vecs, n_parts=16)
+    members, reps = collapse_identical_vectors(vecs)
     members = members.materialize()
     reps = reps.materialize()
     _stage(members, "images_embed_members")
@@ -5637,13 +5582,7 @@ def q_images_dedup_truth(sf_dir: str):
     ).materialize()
     _stage(assignment, "images_assignment")
     _stage(truth, "images_truth")
-    # join partitions sized to the session: a fixed 8 deadlocks ≤4-CPU
-    # sessions (aggregator actors starve the map side; see BASELINE.md)
-    n_join = int(min(8, max(2, ray.cluster_resources().get("CPU", 8) // 2)))
-    joined = truth.join(
-        assignment, join_type="inner", num_partitions=n_join, on=("image_id",),
-        aggregator_ray_remote_args={"num_cpus": 0.5},
-    )
+    joined = hash_join(truth, assignment, "image_id", "inner")
     members = joined.groupby("truth_cluster").aggregate(Count())
     distinct_assigned = (
         joined.groupby(["truth_cluster", "assigned"])
@@ -5957,11 +5896,11 @@ def q_shipping_priority(sf_dir: str, broadcast_limit: int | None = None):
     shipped after it → top 10 orders by revenue.
 
     Shape: the customer side is a semi-join (id_set_filter: broadcast
-    set below the limit, Dataset.join above); lineitem revenue is
+    set below the limit, hash join above); lineitem revenue is
     partial-aggregated per batch BEFORE the o_orderkey groupby (the
     wide fact table never shuffles raw); order attributes attach by
-    broadcast lookup below ``broadcast_limit`` filtered-orders rows
-    and by a distributed hash join above it.  Revenue accumulates in
+    ``stages.joins.lookup``: broadcast below ``broadcast_limit``
+    filtered-orders rows, a distributed hash join above it.  Revenue accumulates in
     integer ten-thousandths (price_cents × (100 − disc_cents)), so the
     SQL oracle compares exactly."""
     from .curate import id_set_filter
@@ -6021,44 +5960,15 @@ def q_shipping_priority(sf_dir: str, broadcast_limit: int | None = None):
         .aggregate(Sum("rev", alias_name="rev"))
     )
 
-    if orders.count() > limit:
-        n_join = int(min(8, max(2, ray.cluster_resources().get("CPU", 8) // 2)))
-        joined = rev.join(
-            orders,
-            join_type="inner",
-            num_partitions=n_join,
-            on=("o_orderkey",),
-            right_on=("o_orderkey",),
-            aggregator_ray_remote_args={"num_cpus": 0.5},
-        ).select_columns(
-            ["o_orderkey", "rev", "o_orderdate", "o_orderpriority"]
-        )
-    else:
-        odf = orders.to_pandas().set_index("o_orderkey")
-        o_ref = ray.put(odf[["o_orderdate", "o_orderpriority"]])
-
-        def attach(batch: pa.Table) -> pa.Table:
-            lut = ray.get(o_ref)
-            keys = pd.Series(batch["o_orderkey"].to_numpy(zero_copy_only=False))
-            hit = keys.isin(lut.index).to_numpy()
-            t = batch.filter(pa.array(hit))
-            k = t["o_orderkey"].to_numpy(zero_copy_only=False)
-            return pa.table(
-                {
-                    "o_orderkey": t["o_orderkey"],
-                    "rev": t["rev"],
-                    "o_orderdate": pa.array(
-                        lut["o_orderdate"].loc[k].to_numpy(),
-                        type=pa.timestamp("us"),
-                    ),
-                    "o_orderpriority": pa.array(
-                        lut["o_orderpriority"].loc[k].to_numpy(dtype=object),
-                        type=pa.string(),
-                    ),
-                }
-            )
-
-        joined = rev.map_batches(attach, batch_format="pyarrow")
+    # an order row matched iff its o_orderdate came back: every filtered
+    # order has one (the cutoff comparison drops null dates)
+    joined = lookup(
+        rev, "o_orderkey",
+        orders.select_columns(["o_orderkey", "o_orderdate", "o_orderpriority"]),
+        limit,
+    ).map_batches(
+        lambda t: t.filter(pc.is_valid(t["o_orderdate"])), batch_format="pyarrow"
+    )
 
     top = joined.sort(["rev", "o_orderkey"], descending=[True, False]).limit(10)
 
@@ -6407,14 +6317,7 @@ def q_images_dedup_report(sf_dir: str):
     fmts = read_images_fixture(sf_dir, columns=["image_id", "fmt"])
     _stage(fmts, "images_dedup_report_base")
 
-    jn = int(max(2, ray.cluster_resources().get("CPU", 8) // 2))
-    joined = assign.join(
-        fmts,
-        join_type="inner",
-        num_partitions=jn,
-        on=("image_id",),
-        aggregator_ray_remote_args={"num_cpus": 0.5},
-    )
+    joined = hash_join(assign, fmts, "image_id", "inner")
 
     def partial(t: pa.Table) -> pa.Table:
         df = pd.DataFrame(
@@ -6519,12 +6422,7 @@ def q_images_cluster_radius(sf_dir: str):
             )
         )
 
-    jn = int(max(2, ray.cluster_resources().get("CPU", 8) // 2))
-    jargs = {"num_cpus": 0.5}
-    members = assign.join(
-        sigs, join_type="inner", num_partitions=jn, on=("image_id",),
-        aggregator_ray_remote_args=jargs,
-    )
+    members = hash_join(assign, sigs, "image_id", "inner").materialize()
     def rep_rows(t: pa.Table) -> pa.Table:
         keep = t["is_representative"].to_numpy(zero_copy_only=False)
         return (
@@ -6534,10 +6432,7 @@ def q_images_cluster_radius(sf_dir: str):
         )
 
     reps = members.map_batches(rep_rows, batch_format="pyarrow")
-    joined = members.join(
-        reps, join_type="inner", num_partitions=jn, on=("cluster_id",),
-        aggregator_ray_remote_args=jargs,
-    )
+    joined = hash_join(members, reps, "cluster_id", "inner")
 
     def dist_partial(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
@@ -6819,8 +6714,8 @@ def q_events_cohorts(sf_dir: str, broadcast_limit: int | None = None):
     Shape: one MIN groupby builds the per-user cohort table (narrow:
     n_users rows); distinct (user, week) activity pairs come from
     per-batch np.unique partials through one groupby; cohorts attach
-    by broadcast lookup below ``broadcast_limit`` users and a
-    distributed hash join above it; the final (cohort, week) groupby
+    by ``stages.joins.lookup`` (broadcast below ``broadcast_limit``
+    users, a distributed hash join above it); the final (cohort, week) groupby
     is bounded by weeks².  The oracle re-derives everything, including
     DuckDB's Monday-start week truncation, which the engine mirrors
     from epoch-day arithmetic."""
@@ -6862,31 +6757,8 @@ def q_events_cohorts(sf_dir: str, broadcast_limit: int | None = None):
         .select_columns(["user_id", "activity_week"])
     )
 
-    if cohorts.count() > limit:
-        jn = int(min(8, max(2, ray.cluster_resources().get("CPU", 8) // 2)))
-        joined = activity.join(
-            cohorts,
-            join_type="inner",
-            num_partitions=jn,
-            on=("user_id",),
-            aggregator_ray_remote_args={"num_cpus": 0.5},
-        )
-    else:
-        lut_ref = ray.put(cohorts.to_pandas().set_index("user_id")["cohort_week"])
-
-        def attach(t: pa.Table) -> pa.Table:
-            lut = ray.get(lut_ref)
-            cw = (
-                pd.Series(t["user_id"].to_numpy(zero_copy_only=False))
-                .map(lut)
-                .to_numpy()
-                .astype("datetime64[us]")
-            )
-            return t.append_column(
-                "cohort_week", pa.array(cw, type=pa.timestamp("us"))
-            )
-
-        joined = activity.map_batches(attach, batch_format="pyarrow")
+    # every active user has a cohort: both come from the same events
+    joined = lookup(activity, "user_id", cohorts, limit)
 
     def pair_partial(t: pa.Table) -> pa.Table:
         df = pd.DataFrame(

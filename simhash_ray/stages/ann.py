@@ -22,10 +22,12 @@ import logging
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
 from .buckets import all_pairs, runs
+from .joins import lookup
 from .pairverify import pack_matrix, unpack_matrix, verify_pairs
 
 logger = logging.getLogger(__name__)
@@ -418,7 +420,6 @@ def collapse_identical_vectors(
     id_col: str = "vec_id",
     vec_col: str = "embedding",
     broadcast_limit: int = 5_000_000,
-    n_parts: int = 64,
     driver_limit_bytes: int = 2_000_000_000,
 ) -> tuple[rd.Dataset, rd.Dataset]:
     """Byte-identical-vector collapse: → (members, reps).
@@ -437,7 +438,8 @@ def collapse_identical_vectors(
 
     Group key = blake2b-128 of the float64 row bytes (the repo-standard
     fingerprint bound: ~2⁻⁶⁴ collision odds at 10⁹ distinct vectors).
-    The key→rep map attaches via a broadcast sorted-array lookup under
+    The key→rep map and the rep filter are two
+    :func:`stages.joins.lookup` calls: broadcast under
     ``broadcast_limit`` distinct vectors, a hash join above it.
 
     Two regimes, the repo's usual shape: when the whole (id, vec) table
@@ -537,67 +539,19 @@ def collapse_identical_vectors(
     kd = vectors.select_columns([id_col, vec_col]).map_batches(
         keyed, batch_format="pyarrow"
     ).materialize()
-    # materialize: count() and the downstream consumer (iter_batches or
-    # the join) would otherwise each run the groupby-aggregate shuffle
+    # materialize: both lookups below would otherwise each run the
+    # groupby-aggregate shuffle
     key_rep = kd.groupby("vkey").aggregate(
         Min(id_col, alias_name="rep")
     ).materialize()
-    n_groups = key_rep.count()
+    members = lookup(kd, "vkey", key_rep, broadcast_limit).select_columns(
+        [id_col, "rep", "nonzero"]
+    )
 
-    if n_groups <= broadcast_limit:
-        kr = pa.concat_tables(
-            key_rep.iter_batches(batch_format="pyarrow", batch_size=65536)
-        )
-        keys_np = np.asarray(kr["vkey"].to_pylist(), dtype="S32")
-        reps_np = kr["rep"].to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.argsort(keys_np)
-        keys_np, reps_np = keys_np[order], reps_np[order]
-        ref = ray.put((keys_np, reps_np))
-
-        def attach(batch: pa.Table) -> pa.Table:
-            ks, rs = ray.get(ref)
-            if batch.num_rows == 0:
-                return pa.table(
-                    {
-                        id_col: pa.array([], type=pa.int64()),
-                        "rep": pa.array([], type=pa.int64()),
-                        "nonzero": pa.array([], type=pa.bool_()),
-                    }
-                )
-            bk = np.asarray(batch["vkey"].to_pylist(), dtype="S32")
-            pos = np.searchsorted(ks, bk)
-            return pa.table(
-                {
-                    id_col: batch[id_col],
-                    "rep": pa.array(rs[pos], type=pa.int64()),
-                    "nonzero": batch["nonzero"],
-                }
-            )
-
-        members = kd.map_batches(attach, batch_format="pyarrow")
-        rep_ids = ray.put(np.sort(reps_np))
-
-        def is_rep(batch: pa.Table) -> pa.Table:
-            rset = ray.get(rep_ids)
-            ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-            pos = np.searchsorted(rset, ids).clip(max=len(rset) - 1)
-            return batch.filter(pa.array(rset[pos] == ids))
-
-        reps = vectors.select_columns([id_col, vec_col]).map_batches(
-            is_rep, batch_format="pyarrow"
-        )
-        return members, reps
-
-    agg_args = {"num_cpus": 0.5}
-    n_join = max(2, min(n_parts, int(ray.cluster_resources().get("CPU", 8)) // 2))
-    members = kd.join(
-        key_rep, join_type="inner", num_partitions=n_join, on=("vkey",),
-        aggregator_ray_remote_args=agg_args,
-    ).select_columns([id_col, "rep", "nonzero"])
-
-    # Arrow's hash join rejects list payload columns — pack the vector
-    # to fixed-size binary for the rep semi-join and unpack after (the
-    # feature format of stages/pairverify)
+    # a rep row is one whose id is some group's rep (its vkey comes back
+    # non-null).  Arrow's hash join rejects list payload columns, so the
+    # vector travels packed as fixed-size binary and is unpacked after
+    # (the feature format of stages/pairverify)
 
     def pack(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -607,19 +561,8 @@ def collapse_identical_vectors(
             }
         )
 
-    packed = vectors.select_columns([id_col, vec_col]).map_batches(
-        pack, batch_format="pyarrow"
-    )
-    reps_packed = packed.join(
-        key_rep.map_batches(
-            lambda t: t.select(["rep"]), batch_format="pyarrow"
-        ),
-        join_type="inner", num_partitions=n_join,
-        on=(id_col,), right_on=("rep",),
-        aggregator_ray_remote_args=agg_args,
-    )
-
     def unpack(batch: pa.Table) -> pa.Table:
+        batch = batch.filter(pc.is_valid(batch["vkey"]))
         if batch.num_rows == 0:
             return pa.table(
                 {
@@ -629,14 +572,17 @@ def collapse_identical_vectors(
             )
         mat = unpack_matrix(batch["vpack"], dim, dtype=np.float64)
         lists = pa.ListArray.from_arrays(
-            pa.array(
-                np.arange(batch.num_rows + 1, dtype=np.int32) * dim
-            ),
-            pa.array(mat.reshape(-1)),
+            pa.array(np.arange(batch.num_rows + 1, dtype=np.int32) * dim),
+            pa.array(mat.reshape(-1), type=pa.float64()),
         )
         return pa.table({id_col: batch[id_col], vec_col: lists})
 
-    reps = reps_packed.map_batches(unpack, batch_format="pyarrow")
+    packed = vectors.select_columns([id_col, vec_col]).map_batches(
+        pack, batch_format="pyarrow"
+    )
+    reps = lookup(
+        packed, id_col, key_rep.rename_columns({"rep": id_col}), broadcast_limit
+    ).map_batches(unpack, batch_format="pyarrow")
     return members, reps
 
 
@@ -824,7 +770,7 @@ def lsh_cosine_dup_pairs(
     explicitly instead)."""
     if collapse:
         members, reps = collapse_identical_vectors(
-            vectors, id_col=id_col, vec_col=vec_col, n_parts=n_parts
+            vectors, id_col=id_col, vec_col=vec_col
         )
         rep_pairs = lsh_cosine_dup_pairs(
             reps, threshold_num, threshold_den, id_col=id_col,

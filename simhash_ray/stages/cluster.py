@@ -32,10 +32,12 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data as rd
 
 from ..functions.hashing import part_of_ids, part_of_pairs
 from .base import map_groups_typed
+from .joins import keyed_take
 
 
 def _ids(col) -> np.ndarray:
@@ -326,6 +328,33 @@ def unionfind_driver(edges_df) -> "pd.DataFrame":
     return pd.DataFrame({"node": nodes, "label": nodes[label]})
 
 
+def label_table(label_df, id_type: pa.DataType, key: str = "node") -> pa.Table:
+    """:func:`unionfind_driver`'s (node, label) frame as an Arrow
+    (``key``, label) table of ``id_type`` — exact for every id type (a
+    pandas map widens int64 ids above 2^53 to float64)."""
+    return pa.table(
+        {
+            key: pa.array(np.asarray(label_df["node"]), type=id_type),
+            "label": pa.array(np.asarray(label_df["label"]), type=id_type),
+        }
+    )
+
+
+def label_or_self(label, key, id_type: pa.DataType):
+    """Each row's cluster id: its looked-up ``label``, else its own
+    ``key`` (a node no edge reached is its own cluster)."""
+    return pc.coalesce(label.cast(id_type), key.cast(id_type))
+
+
+def cluster_of(keys: pa.Array, label_df) -> pa.Array:
+    """Driver-side label attach: each key's label in
+    :func:`unionfind_driver`'s frame, else the key itself, typed as
+    ``keys`` (one Arrow ``index_in`` + ``take``, exact for every id
+    type)."""
+    labels = label_table(label_df, keys.type)
+    return label_or_self(keyed_take(keys, labels, "node")["label"], keys, keys.type)
+
+
 def connected_components(
     edges: rd.Dataset,
     max_rounds: int = 12,
@@ -380,25 +409,6 @@ def connected_components(
     raise RuntimeError(
         f"connected_components did not converge in {max_rounds} rounds"
     )
-
-
-def lookup_exact(values: np.ndarray, lut: pd.Series, default) -> np.ndarray:
-    """``lut[values]`` with ``default`` for misses: one hash lookup over
-    the native values, exact for every id type.  A ``pd.Series.map``
-    widens misses to float64 and silently corrupts int64 ids above
-    2^53 (review finding, late r4)."""
-    out = np.asarray(default, dtype=object).copy()
-    if len(lut):
-        pos = lut.index.get_indexer(pd.Index(values))
-        hit = pos >= 0
-        out[hit] = lut.to_numpy()[pos[hit]]
-    return out
-
-
-def attach_labels(ids: np.ndarray, label_df) -> np.ndarray:
-    """Cluster label per id, self-label where the id has no component."""
-    lut = pd.Series(np.asarray(label_df["label"]), index=np.asarray(label_df["node"]))
-    return lookup_exact(ids, lut, ids)
 
 
 def assign_clusters(

@@ -35,6 +35,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from .joins import hash_join
 from .minhash import _shingle_hashes_flat
 
 logger = logging.getLogger(__name__)
@@ -114,7 +115,6 @@ def decontaminate(
     text_col: str = "text",
     id_col: str = "doc_id",
     broadcast_limit: int = 50_000_000,
-    n_parts: int = 64,
 ) -> rd.Dataset:
     """(doc_id, n_hits) for corpus docs sharing ≥1 distinct w-token
     window with the eval set (see module docstring for semantics).
@@ -132,9 +132,7 @@ def decontaminate(
             "decontaminate: %d eval windows > broadcast_limit=%d — join path",
             n_eval, broadcast_limit,
         )
-        return _decontaminate_join(
-            corpus, eval_wins, window, text_col, id_col, n_parts
-        )
+        return _decontaminate_join(corpus, eval_wins, window, text_col, id_col)
 
     wins = np.sort(
         np.concatenate(
@@ -183,7 +181,6 @@ def _decontaminate_join(
     window: int,
     text_col: str,
     id_col: str,
-    n_parts: int,
 ) -> rd.Dataset:
     """Distributed path: explode corpus windows (narrow 16-byte rows),
     inner hash join on the window hash against the distinct eval
@@ -218,19 +215,10 @@ def _decontaminate_join(
         m_bits = 1 << min(30, max(16, int(np.ceil(np.log2(16 * n_eval)))))
         bf = build_bloom(eval_wins, "win", m_bits=m_bits, k=7)
         bloom_ref = ray.put((bf.m_bits, bf.k, bf.words))
-        exploded = bloom_split(exploded, "win", bloom_ref, novel=False)
-    # cap the aggregator-actor CPU reservation well below the cluster
-    # total — n_parts aggregators at 0.5 CPU each can otherwise reserve
-    # every core of a small cluster and deadlock the feeding map tasks
-    total_cpus = int(ray.cluster_resources().get("CPU", 8))
-    n_parts = max(2, min(n_parts, total_cpus * 2))
-    agg_cpus = min(0.5, max(0.1, (total_cpus / 2) / n_parts))
-    joined = exploded.join(
-        eval_wins,
-        join_type="inner",
-        num_partitions=n_parts,
-        on=("win",),
-        aggregator_ray_remote_args={"num_cpus": agg_cpus},
-    )
+        # stored: the windows that pass are few (true hits plus a
+        # false-positive sliver) and on a clean corpus none, which the
+        # join's guard answers without a join only for a stored side
+        exploded = bloom_split(exploded, "win", bloom_ref, novel=False).materialize()
+    joined = hash_join(exploded, eval_wins, "win", "inner")
     out = joined.groupby("doc_id").aggregate(Count(alias_name="n_hits"))
     return out.select_columns(["doc_id", "n_hits"])

@@ -29,8 +29,9 @@ import logging
 
 import numpy as np
 import pyarrow as pa
-import ray
 import ray.data as rd
+
+from .joins import hash_join
 
 logger = logging.getLogger(__name__)
 
@@ -107,7 +108,6 @@ def row_digests(
 def survivor_invariant(
     images: rd.Dataset,
     survivors: rd.Dataset,
-    n_parts: int | None = None,
     concurrency=None,
 ) -> rd.Dataset:
     """Per-survivor verdicts: (image_id, found, caption_ok, bytes_ok,
@@ -118,19 +118,12 @@ def survivor_invariant(
     return invariant_verdicts(
         row_digests(survivors, concurrency),
         row_digests(images, concurrency),
-        n_parts=n_parts,
     )
 
 
-def invariant_verdicts(
-    sur: rd.Dataset,
-    src: rd.Dataset,
-    n_parts: int | None = None,
-) -> rd.Dataset:
+def invariant_verdicts(sur: rd.Dataset, src: rd.Dataset) -> rd.Dataset:
     """Verdict join over two precomputed digest tables (exposed so the
     oracle-staged query can reuse the exact digest datasets it stages)."""
-    if n_parts is None:
-        n_parts = int(min(8, max(2, ray.cluster_resources().get("CPU", 8) // 2)))
     src = src.map_batches(
         lambda t: t.rename_columns(
             ["image_id", "src_caption", "src_byte_md5", "src_pix_md5",
@@ -138,13 +131,7 @@ def invariant_verdicts(
         ),
         batch_format="pyarrow",
     )
-    joined = sur.join(
-        src,
-        join_type="left_outer",
-        num_partitions=n_parts,
-        on=("image_id",),
-        aggregator_ray_remote_args={"num_cpus": 0.5},
-    )
+    joined = hash_join(sur, src, "image_id", "left_outer")
 
     def verdict(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc

@@ -1,4 +1,25 @@
-"""Temporal joins the Dataset API lacks, composed Ray-Data-first.
+"""Joins the Dataset API lacks or gets wrong, composed Ray-Data-first.
+
+Equi-joins.  Every equi-join decision in the package is made here:
+
+- :func:`hash_join` is the only ``Dataset.join`` call.  It has one
+  width rule (:func:`join_partitions`), aggregators at 0.5 CPU, and one
+  empty-side guard, because a Ray 2.49 hash join takes a side's schema
+  from that side's first block (``No match for FieldRef`` when it is
+  empty) and fails over a side with no rows.  The guard materializes
+  the right side (the keyed, feature or id table) and drops its empty
+  blocks, and reads a left side that is already materialized the same
+  way; a zero-row side returns the typed result without starting a
+  join.  A lazily built left side streams into the join unstored.
+- :func:`lookup` adds a keyed table's value columns to every row of a
+  dataset ("broadcast the small map, else hash join"): at or below its
+  ``limit`` the table is collected once as Arrow, ``ray.put``, and each
+  batch runs the exact Arrow kernel :func:`keyed_take`
+  (``index_in`` + ``take``, no float widening of int64 ids); above it a
+  left-outer :func:`hash_join` runs.  Label attach, the id-set filters
+  and the cascade's keeper maps are built on it.
+
+Temporal joins.
 
 ``asof_join`` — for every left row, attach the nearest earlier (or
 exactly simultaneous) right row within the same ``by`` key: the
@@ -37,7 +58,10 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+import ray
 import ray.data as rd
+from ray.data.dataset import MaterializedDataset
 
 from .base import map_groups_typed
 
@@ -313,3 +337,153 @@ def range_join(
         return pa.table(cols, schema=out_schema)
 
     return map_groups_typed(tagged, key, per_group, empty)
+
+
+# --------------------------------------------------------------------------
+# equi-joins
+
+# aggregators at 0.5 CPU: join aggregator actors must not starve the
+# map side on small clusters (and joins often run back-to-back)
+_AGG_ARGS = {"num_cpus": 0.5}
+
+
+def join_partitions() -> int:
+    """Hash-join width: half the cluster's CPUs, 2 to 64 partitions.
+    The aggregators run at 0.5 CPU each, so one join holds at most a
+    quarter of the cluster and the map side is not starved."""
+    return int(max(2, min(64, ray.cluster_resources().get("CPU", 8) // 2)))
+
+
+def hash_join(
+    left: rd.Dataset, right: rd.Dataset, on: str, join_type: str
+) -> rd.Dataset:
+    """``left`` ⋈ ``right`` on the key column ``on`` of both sides: the
+    package's one ``Dataset.join`` (module docstring).
+    ``join_type`` is "inner" or "left_outer", so a zero-row left side
+    gives a zero-row result.  The output holds the left columns, then
+    the right columns other than the key, as Arrow's join lays them
+    out.
+
+    The right side (the keyed table, feature table or id set) is
+    materialized and guarded; a left side that is already materialized
+    is guarded the same way at no cost.  A lazily built left side, the
+    bulk of the join, streams in unstored: it must have rows and must
+    not start with an empty block, so a caller whose left side may have
+    none materializes it first."""
+    if not isinstance(right, MaterializedDataset):
+        right = right.materialize()
+    rrefs = _nonempty_blocks(right)
+    how = join_type.replace("_", " ")
+    if isinstance(left, MaterializedDataset):
+        lrefs = _nonempty_blocks(left)
+        if not lrefs:
+            lschema = _arrow_schema(left.schema())
+            rschema = _arrow_schema(right.schema())
+            if lschema is None or rschema is None:
+                return left  # no rows, and no schema to give them
+            return rd.from_arrow(
+                lschema.empty_table().join(
+                    rschema.empty_table(), keys=on, join_type=how
+                )
+            )
+        left = rd.from_arrow_refs(lrefs)
+    if rrefs:
+        return left.join(
+            rd.from_arrow_refs(rrefs),
+            join_type=join_type,
+            num_partitions=join_partitions(),
+            on=(on,),
+            aggregator_ray_remote_args=_AGG_ARGS,
+        )
+    rschema = _arrow_schema(right.schema())
+    if rschema is None:
+        raise ValueError(
+            f"hash_join: the zero-row right side of a join on {on!r} has no schema"
+        )
+    rempty = rschema.empty_table()
+    return left.map_batches(
+        lambda t: t.join(rempty, keys=on, join_type=how), batch_format="pyarrow"
+    )
+
+
+def keyed_take(
+    keys: pa.Array | pa.ChunkedArray, table: pa.Table, key: str
+) -> pa.Table:
+    """``table``'s columns other than ``key``, row-aligned with ``keys``:
+    the row whose ``key`` equals each key (the first such row), nulls
+    where there is none.  Exact for every key type."""
+    value_set = table[key]
+    if value_set.type != keys.type:
+        value_set = value_set.cast(keys.type)
+    return table.drop_columns([key]).take(pc.index_in(keys, value_set=value_set))
+
+
+def lookup(
+    ds: rd.Dataset, key: str, table: rd.Dataset | pa.Table, limit: int
+) -> rd.Dataset:
+    """Every row of ``ds`` with ``table``'s value columns appended,
+    matched on ``key`` (unique in ``table``), null where the key is
+    absent.  At or below ``limit`` table rows the table is collected
+    once as Arrow (an Arrow ``table`` already is), ``ray.put``, and
+    each batch runs :func:`keyed_take`; above it a left-outer
+    :func:`hash_join` runs.  Both regimes give the same rows and
+    columns."""
+    if isinstance(table, rd.Dataset):
+        if not isinstance(table, MaterializedDataset):
+            table = table.materialize()
+        if table.count() > limit:
+            return hash_join(ds, table, key, "left_outer")
+        table = _collect(table)
+    elif table.num_rows > limit:
+        return hash_join(ds, rd.from_arrow(table), key, "left_outer")
+    ref = ray.put(table.combine_chunks())
+
+    def attach(batch: pa.Table) -> pa.Table:
+        # the key in one chunk, as the taken columns are: callers
+        # coalesce a looked-up column with the key, and pyarrow 16's
+        # coalesce over columns chunked differently returns wrong
+        # values; the other (possibly wide) columns are not copied
+        keys = batch[key].combine_chunks()
+        batch = batch.set_column(batch.schema.get_field_index(key), key, keys)
+        vals = keyed_take(keys, ray.get(ref), key)
+        for name, col in zip(vals.column_names, vals.columns):
+            batch = batch.append_column(name, col)
+        return batch
+
+    if isinstance(ds, MaterializedDataset) and ds.count() == 0:
+        # a map over no rows yields no schema; a union would keep it but
+        # stop the caller's next map from fusing with this one
+        schema = _arrow_schema(ds.schema())
+        if schema is not None:
+            return rd.from_arrow(attach(schema.empty_table()))
+    return ds.map_batches(attach, batch_format="pyarrow")
+
+
+def _collect(table: rd.Dataset) -> pa.Table:
+    """A materialized dataset as one Arrow table, read block by block
+    (``to_pandas()`` of a zero-row dataset drops its columns)."""
+    parts = [
+        t for t in table.iter_batches(batch_format="pyarrow", batch_size=None)
+        if t.num_rows
+    ]
+    if parts:
+        return pa.concat_tables(parts)
+    schema = _arrow_schema(table.schema())
+    if schema is None:
+        raise ValueError("lookup: a zero-row table needs a schema")
+    return schema.empty_table()
+
+
+def _arrow_schema(schema) -> pa.Schema | None:
+    schema = getattr(schema, "base_schema", schema)
+    return schema if isinstance(schema, pa.Schema) else None
+
+
+def _nonempty_blocks(ds: rd.Dataset) -> list:
+    """The refs of a materialized ``ds``'s non-empty blocks (no copy)."""
+    return [
+        ref
+        for bundle in ds.iter_internal_ref_bundles()
+        for ref, meta in bundle.blocks
+        if meta.num_rows
+    ]

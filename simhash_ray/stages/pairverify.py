@@ -10,11 +10,12 @@ regimes picked by the operator's size rule:
 - broadcast: the (id, feat) table is sorted by id and ``ray.put`` once;
   each pair batch gathers both sides with a membership-guarded
   ``searchsorted`` + Arrow ``take``;
-- join: two hash joins (a left outer join on ``a``, an inner join on
-  ``b``) ship each feature row only to the pairs that reference it (no
-  replication of the whole table); the candidate set is materialized
-  and counted first, and an empty one returns at once (Ray's hash join
-  does not finish on an empty side).
+- join: two :func:`stages.joins.hash_join` calls (a left outer join on
+  ``a``, an inner join on ``b``) against one stored (id, feat) table
+  ship each feature row only to the pairs that reference it (no
+  replication of the whole table).  The candidate set is materialized
+  and counted first, and an empty one returns at once; the first
+  join's output, which then has rows, streams into the second.
 
 Both regimes share one policy: a pair naming an id that is absent from
 the feature table, or whose feature is null, is dropped (inner-join
@@ -37,6 +38,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data as rd
+
+from .joins import hash_join
 
 # large explicit batches: pair streams arrive as many small map_groups
 # blocks, and the default ~1k batch size turns millions of candidates
@@ -97,20 +100,10 @@ def verify_pairs(
     if broadcast:
         out = _gather_broadcast(pairs, feats, check, empty)
     else:
-        pairs = _nonempty_blocks(pairs)
-        if pairs is None:
-            return rd.from_arrow(empty)
         out = _gather_join(pairs, feats, check, empty)
     # the typed empty block pins the schema when no batch reaches the
     # check (no candidate, or every candidate dropped)
     return out.union(rd.from_arrow(empty))
-
-
-def join_partitions() -> int:
-    """Hash-join width: half the cluster's CPUs, 2 to 64 partitions.
-    The aggregators run at 0.5 CPU each, so one join holds at most a
-    quarter of the cluster and the map side is not starved."""
-    return int(max(2, min(64, ray.cluster_resources().get("CPU", 8) // 2)))
 
 
 def _usable(t: pa.Table) -> pa.Table:
@@ -163,30 +156,26 @@ def _gather_broadcast(
 def _gather_join(
     pairs: rd.Dataset, feats: rd.Dataset, check: Check, empty: pa.Table
 ) -> rd.Dataset:
-    n_join = join_partitions()
-    # aggregators at 0.5 CPU: join aggregator actors must not starve
-    # the map side on small clusters (and two joins run back-to-back)
-    agg_args = {"num_cpus": 0.5}
-
-    def side(key: str) -> rd.Dataset:
-        return feats.map_batches(
-            lambda t: _usable(t).rename_columns([key, "f" + key]),
-            batch_format="pyarrow",
-        )
-
-    # A Ray 2.49 hash join takes each side's schema from that side's
-    # first block, and does not finish when a side has no rows.  The
-    # first join is a left outer join, so its output keeps every pair
-    # (a null fa marks an absent a) and the second join's left side is
-    # never empty; the streaming rebatch drops its empty blocks.
-    with_a = pairs.join(
-        side("a"), join_type="left_outer", num_partitions=n_join, on=("a",),
-        aggregator_ray_remote_args=agg_args,
-    ).map_batches(lambda t: t, batch_format="pyarrow", batch_size=_BATCH_ROWS)
-    joined = with_a.join(
-        side("b"), join_type="inner", num_partitions=n_join, on=("b",),
-        aggregator_ray_remote_args=agg_args,
+    # one (id, f) table is the right side of both joins; the pairs
+    # side renames its key to "id" instead, so no per-side copy of the
+    # features is stored
+    feats = feats.map_batches(
+        lambda t: _usable(t).rename_columns(["id", "f"]), batch_format="pyarrow"
+    ).materialize()
+    by_a = pairs.map_batches(
+        lambda t: t.rename_columns(["id", "b"]), batch_format="pyarrow"
+    ).materialize()
+    if by_a.count() == 0:
+        return rd.from_arrow(empty)
+    # The first join is a left outer join, so its output keeps every
+    # pair (a null f marks an absent a) and streams into the second
+    # join unstored; the rebatch drops its empty blocks.
+    by_b = hash_join(by_a, feats, "id", "left_outer").map_batches(
+        lambda t: pa.table({"id": t["b"], "a": t["id"], "fa": t["f"]}),
+        batch_format="pyarrow",
+        batch_size=_BATCH_ROWS,
     )
+    joined = hash_join(by_b, feats, "id", "inner")
 
     def gather(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.is_valid(batch["fa"]))
@@ -194,22 +183,9 @@ def _gather_join(
             return empty
         return check(
             batch["a"].to_numpy(zero_copy_only=False),
-            batch["b"].to_numpy(zero_copy_only=False),
+            batch["id"].to_numpy(zero_copy_only=False),
             batch["fa"],
-            batch["fb"],
+            batch["f"],
         )
 
     return joined.map_batches(gather, batch_format="pyarrow", batch_size=_BATCH_ROWS)
-
-
-def _nonempty_blocks(ds: rd.Dataset) -> rd.Dataset | None:
-    """``ds`` materialized with its empty blocks dropped (no copy), or
-    None when it has no rows — the join's first block must carry the
-    schema, and a join over an empty side does not finish."""
-    refs = [
-        ref
-        for bundle in ds.materialize().iter_internal_ref_bundles()
-        for ref, meta in bundle.blocks
-        if meta.num_rows
-    ]
-    return rd.from_arrow_refs(refs) if refs else None

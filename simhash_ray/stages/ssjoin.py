@@ -63,7 +63,8 @@ from ..functions.tokenize import tokens_flat
 from .base import map_groups_typed
 from .buckets import all_pairs, runs
 from .cluster import dedupe_edges
-from .pairverify import join_partitions, verify_pairs
+from .joins import hash_join
+from .pairverify import verify_pairs
 
 _EMPTY_DT = pa.table(
     {
@@ -207,7 +208,6 @@ def prefix_jaccard_pairs(
 
     n_tokens = dt.count()
     broadcast_regime = n_tokens <= broadcast_limit
-    n_join = join_partitions()
 
     def _prefix_kernel(
         doc: np.ndarray, th: np.ndarray, n: np.ndarray, dfv: np.ndarray
@@ -274,10 +274,7 @@ def prefix_jaccard_pairs(
             .aggregate(Sum("df", alias_name="df"))
             .materialize()
         )
-        joined = dt.join(
-            df, join_type="inner", num_partitions=n_join, on=("th",),
-            aggregator_ray_remote_args={"num_cpus": 0.5},
-        )
+        joined = hash_join(dt, df, "th", "inner")
 
         def tag_doc_part(batch: pa.Table) -> pa.Table:
             d = batch["doc"].to_numpy(zero_copy_only=False)

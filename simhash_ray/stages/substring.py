@@ -37,6 +37,7 @@ import ray.data as rd
 from ..functions.hashing import part_of_ints
 from ..functions.tokenize import tokens_flat
 from .buckets import all_pairs, runs
+from .joins import hash_join
 
 
 # window hashing rides the vectorized flat shingle machinery (one
@@ -451,17 +452,12 @@ def remove_duplicate_spans(
 
     log.warning(
         "remove_duplicate_spans: %d docs carry removals (> limit %d); "
-        "attaching through a left-outer Dataset.join",
+        "attaching through a left-outer hash join",
         n_removed_docs,
         removal_limit,
     )
-    jn = int(min(n_parts, max(2, ray.cluster_resources().get("CPU", 8) // 2)))
-    joined = narrow.join(
-        blob_ds.rename_columns({"doc": id_col}),
-        join_type="left_outer",
-        num_partitions=jn,
-        on=(id_col,),
-        aggregator_ray_remote_args={"num_cpus": 0.5},
+    joined = hash_join(
+        narrow, blob_ds.rename_columns({"doc": id_col}), id_col, "left_outer"
     )
     return _span_rebuild(joined, None, "join", window, text_col, id_col)
 

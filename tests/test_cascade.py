@@ -172,12 +172,9 @@ def test_tier_attribution_and_chain():
 
 
 def test_join_path_equivalent_to_broadcast():
-    # Force the >limit composition paths (_drop_rows / _remap_keeper /
-    # _attach_final hash joins) and the sig tiers' distributed regime
-    # on the planted fixture.  n_parts=2 and a real corpus: Ray 2.49 hash
-    # joins crash on sparse sides (empty partitions lose their schema),
-    # so the forced-join regime needs non-trivially-populated
-    # partitions — same discipline as
+    # Force the >limit composition paths (the id_set_filter,
+    # _remap_keeper and _attach_final hash joins) and the sig tiers'
+    # distributed regime on the planted fixture — same discipline as
     # test_pipeline.test_cluster_scale_attach_and_survivor_join_paths.
     tables = generate_fixture(FixtureSpec(n_rows=400, seed=42))
     images = rd.from_arrow(tables["images"])

@@ -57,16 +57,19 @@ def test_unionfind_driver_basic():
 def test_attach_int_labels_exact_above_2_53():
     """Regression (late-r4 review): the pandas map+fillna attach
     round-tripped ids through float64, corrupting ids above 2^53.
-    attach_labels must be exact over the full int64 range."""
+    The driver-side label attach (stages.cluster.cluster_of, which
+    dedup_incremental's shard fold runs: the id's label, else the id
+    itself) must be exact over the full int64 range."""
     import pandas as pd
+    import pyarrow as pa
 
-    from simhash_ray.stages.cluster import attach_labels
+    from simhash_ray.stages.cluster import cluster_of
 
     big = 2**53 + 1  # not representable in float64
     label_df = pd.DataFrame({"node": [5, 7], "label": [5, 5]})
     ids = np.array([5, 7, big, 2**62 + 3], dtype=np.int64)
-    out = attach_labels(ids, label_df)
-    assert out.tolist() == [5, 5, big, 2**62 + 3]
+    out = cluster_of(pa.array(ids), label_df)
+    assert out.to_pylist() == [5, 5, big, 2**62 + 3]
     # empty label table: everyone self-labels, still exact
-    out2 = attach_labels(ids, label_df.iloc[:0])
-    assert out2.tolist() == ids.tolist()
+    out2 = cluster_of(pa.array(ids), label_df.iloc[:0])
+    assert out2.to_pylist() == ids.tolist()

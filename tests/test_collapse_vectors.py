@@ -44,7 +44,7 @@ def _vecs(n=1200, d=16, seed=3, groups=20, span=40):
 def test_collapse_regimes_identical(kwargs):
     df = _vecs()
     ds = rd.from_pandas(df).repartition(7)
-    members, reps = collapse_identical_vectors(ds, n_parts=4, **kwargs)
+    members, reps = collapse_identical_vectors(ds, **kwargs)
     m = members.to_pandas().sort_values("vec_id").reset_index(drop=True)
     # every row mapped, rep is the min id of its group, rep maps to itself
     assert len(m) == len(df)

@@ -50,12 +50,26 @@ def test_join_path_equals_broadcast(corpus_and_eval):
     ).to_pandas()
     b = decontaminate(
         rd.from_pandas(corpus_df), rd.from_pandas(eval_df), window=8,
-        broadcast_limit=0, n_parts=8,
+        broadcast_limit=0,
     ).to_pandas()
     key = ["doc_id", "n_hits"]
     assert sorted(map(tuple, a[key].values.tolist())) == sorted(
         map(tuple, b[key].values.tolist())
     )
+
+
+def test_clean_corpus_join_path_flags_nothing(corpus_and_eval):
+    """A corpus sharing no window with the eval set, on the join path:
+    no corpus window passes the Bloom prefilter, and the join over that
+    empty side returns no rows (a Ray hash join fails on a side with
+    no rows)."""
+    corpus_df, eval_df, _ = corpus_and_eval
+    clean = corpus_df.iloc[30:]  # docs 0..29 carry the planted passages
+    out = decontaminate(
+        rd.from_pandas(clean), rd.from_pandas(eval_df), window=8,
+        broadcast_limit=0,
+    ).to_pandas()
+    assert len(out) == 0
 
 
 def test_short_rows_contribute_nothing():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 import ray.data as rd
 
@@ -287,3 +288,31 @@ def test_strict_ids_catches_non_candidate_overlap():
             shard, base_sigs, base.assignment,
             saturation_threshold=1.1, strict_ids=True,
         )
+
+
+def test_apply_remap_int64_ids_exact_above_2_53():
+    """Regression: ``apply_remap`` mapped cluster ids through
+    ``pd.Series.map(dict)``, which widens a batch to float64 whenever
+    one of its rows is not remapped, so int64 document ids above 2^53
+    came back rounded — the row that was never remapped included."""
+    big = 2**60
+    ids = pa.array([big + 1, big + 3, 5], type=pa.int64())
+    base = rd.from_arrow(
+        pa.table(
+            {
+                "doc_id": ids,
+                "cluster_id": ids,
+                "is_representative": pa.array([True, True, True]),
+            }
+        )
+    )
+    remap = pd.DataFrame({"old_cluster": [big + 3], "new_cluster": [big + 1]})
+    out = (
+        apply_remap(base, remap, id_col="doc_id")
+        .to_pandas()
+        .sort_values("doc_id")
+        .reset_index(drop=True)
+    )
+    assert out["doc_id"].tolist() == [5, big + 1, big + 3]
+    assert out["cluster_id"].tolist() == [5, big + 1, big + 1]
+    assert out["is_representative"].tolist() == [True, True, False]

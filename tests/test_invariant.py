@@ -42,7 +42,7 @@ def images():
 
 def _verdicts(images_df, survivors_df):
     out = survivor_invariant(
-        rd.from_pandas(images_df), rd.from_pandas(survivors_df), n_parts=2
+        rd.from_pandas(images_df), rd.from_pandas(survivors_df)
     ).to_pandas()
     return out.set_index("image_id").sort_index()
 

@@ -112,7 +112,7 @@ def test_cluster_scale_attach_and_survivor_join_paths(fixture_tables, result):
     assert nc_bc == nc_join
 
     surv_bc = canon(survivors(images, result))
-    surv_join = canon(survivors(images, result, n_parts=2, broadcast_limit=0))
+    surv_join = canon(survivors(images, result, broadcast_limit=0))
     assert list(surv_bc["image_id"]) == list(surv_join["image_id"])
     assert list(surv_bc.columns) == list(surv_join.columns)
 
