@@ -153,7 +153,7 @@ def _run_bench() -> dict:
 
     n_images = read_images(columns=["image_id"]).count()
 
-    # untimed warmup: spawn Ray worker processes + encoder actors and
+    # untimed warmup: spawn Ray worker processes (each builds its encoder),
     # fault in library imports before the timed region (per-level
     # startup, not pipeline cost; same warmup at every CPU level)
     warm = read_images(columns=["image_id", "caption", "phash"]).limit(4096)
@@ -228,7 +228,7 @@ def _run_bench() -> dict:
         timed(
             "doc_simhash_sigs",
             lambda: encode_signatures(
-                docs, DEFAULT_CONFIG.simhash, text_col="text", concurrency=(1, 4)
+                docs, DEFAULT_CONFIG.simhash, text_col="text"
             ).count(),
         )
         timed("pricing_summary", lambda: q_pricing_summary(sf_dir).count())

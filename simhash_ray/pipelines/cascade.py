@@ -156,7 +156,6 @@ def dedup_images_cascade(
     images: rd.Dataset,
     cfg: DedupConfig = DEFAULT_CONFIG,
     tiers: tuple = DEFAULT_TIERS,
-    concurrency=None,
     n_parts: int = 64,
     broadcast_limit: int | None = None,
     precomputed_sigs: rd.Dataset | None = None,
@@ -210,7 +209,7 @@ def dedup_images_cascade(
                     for _, prev in tier_maps:
                         sigs = id_set_filter(sigs, prev, False, "image_id", limit)
                 else:
-                    sigs = signatures(narrow, cfg, concurrency=concurrency)
+                    sigs = signatures(narrow, cfg)
                 sigs = sigs.materialize()
                 sigs_out = sigs
             dropped = dedup_signatures(

@@ -3,7 +3,7 @@ text-only corpus (the reference's own domain — its encoder consumes
 document strings, /root/reference/src/Htm/SimHashDocumentEncoder.hsc).
 
 Same architecture as pipelines/dedup_images with a single (text)
-signature space: encode (actor pool) → the dedup core
+signature space: encode (task-based map_batches) → the dedup core
 (dedup_images.dedup_signatures: LSH banding → verified edges →
 union-find) → (doc_id, cluster_id, is_representative).  Only the
 encode step and the space wiring are this module's own; integer and
@@ -25,14 +25,10 @@ def doc_signatures(
     cfg: DedupConfig = DEFAULT_CONFIG,
     text_col: str = "text",
     id_col: str = "doc_id",
-    concurrency=None,
 ) -> rd.Dataset:
     """The document pipelines' encode step: (id, text) → (id, simhash)."""
     return encode_signatures(
-        docs.select_columns([id_col, text_col]),
-        cfg.simhash,
-        text_col=text_col,
-        concurrency=concurrency,
+        docs.select_columns([id_col, text_col]), cfg.simhash, text_col=text_col
     ).select_columns([id_col, "simhash"])
 
 
@@ -41,7 +37,6 @@ def dedup_documents(
     cfg: DedupConfig = DEFAULT_CONFIG,
     text_col: str = "text",
     id_col: str = "doc_id",
-    concurrency=None,
     broadcast_sig_limit: int | None = None,
 ) -> rd.Dataset:
     """(doc_id, cluster_id, is_representative) — near-dup clusters of a
@@ -52,7 +47,7 @@ def dedup_documents(
     collected once and banded via broadcast Ray tasks; above it the
     fully-distributed stages run — force with
     ``broadcast_sig_limit=0`` (equivalence-tested)."""
-    sigs = doc_signatures(docs, cfg, text_col, id_col, concurrency)
+    sigs = doc_signatures(docs, cfg, text_col, id_col)
     # materialize before counting: count() would otherwise execute the
     # (dominant) encode stage once for the count and again for the
     # downstream consumer (the dedup core)
@@ -93,7 +88,6 @@ def dedup_documents_checkpointed(
     cfg: DedupConfig = DEFAULT_CONFIG,
     text_col: str = "text",
     id_col: str = "doc_id",
-    concurrency=None,
     input_fingerprint: str = "",
 ) -> rd.Dataset:
     """Checkpoint-resumable document dedup — the text twin of
@@ -104,7 +98,7 @@ def dedup_documents_checkpointed(
     pinned in tests/test_resume.py."""
     _, assignment = dedup_documents_checkpointed_parts(
         docs, ckpt_dir, cfg, text_col=text_col, id_col=id_col,
-        concurrency=concurrency, input_fingerprint=input_fingerprint,
+        input_fingerprint=input_fingerprint,
     )
     return assignment
 
@@ -115,7 +109,6 @@ def dedup_documents_checkpointed_parts(
     cfg: DedupConfig = DEFAULT_CONFIG,
     text_col: str = "text",
     id_col: str = "doc_id",
-    concurrency=None,
     input_fingerprint: str = "",
 ) -> tuple[rd.Dataset, rd.Dataset]:
     """:func:`dedup_documents_checkpointed` returning BOTH committed
@@ -127,7 +120,7 @@ def dedup_documents_checkpointed_parts(
     run = CheckpointedRun(ckpt_dir, cfg.config_hash())
     sigs = run.stage(
         "doc_signatures",
-        lambda: doc_signatures(docs, cfg, text_col, id_col, concurrency),
+        lambda: doc_signatures(docs, cfg, text_col, id_col),
         input_fingerprint,
     )
     assignment = run.stage(

@@ -2,7 +2,7 @@
 image+caption table (BASELINE.json north_rule).
 
     read (pruned: image_id, caption, phash)
-      → map_batches(SimHashEncoder actor pool)          [stages/encode]
+      → map_batches(process-held SimHashEncoder)        [stages/encode]
       → exact-(simhash,phash) collapse                  [stages/collapse]
       → band expansion (text + image spaces, one pass)  [stages/lsh]
       → ONE coarse groupby → vectorized bucket pairing  [stages/lsh]
@@ -82,14 +82,10 @@ class DedupResult:
     signatures: rd.Dataset | None = None
 
 
-def signatures(
-    images: rd.Dataset, cfg: DedupConfig = DEFAULT_CONFIG, concurrency=None
-) -> rd.Dataset:
+def signatures(images: rd.Dataset, cfg: DedupConfig = DEFAULT_CONFIG) -> rd.Dataset:
     """(image_id, caption, phash) → (image_id, simhash, phash)."""
     return encode_signatures(
-        images.select_columns(["image_id", "caption", "phash"]),
-        cfg.simhash,
-        concurrency=concurrency,
+        images.select_columns(["image_id", "caption", "phash"]), cfg.simhash
     ).select_columns(["image_id", "simhash", "phash"])
 
 
@@ -316,7 +312,6 @@ def dedup_images(
     images: rd.Dataset,
     cfg: DedupConfig = DEFAULT_CONFIG,
     n_parts: int | None = None,
-    concurrency=None,
     broadcast_sig_limit: int | None = None,
     precomputed_sigs: rd.Dataset | None = None,
 ) -> DedupResult:
@@ -336,7 +331,7 @@ def dedup_images(
     sigs = (
         precomputed_sigs
         if precomputed_sigs is not None
-        else signatures(images, cfg, concurrency=concurrency)
+        else signatures(images, cfg)
     )
     return dedup_signatures(
         sigs, flagship_spaces(cfg), "image_id", limit, n_parts, n_rows, cfg=cfg

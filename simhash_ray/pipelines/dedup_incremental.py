@@ -121,7 +121,6 @@ def dedup_images_incremental(
     base_sigs: rd.Dataset,
     base_assignment: rd.Dataset,
     cfg: DedupConfig = DEFAULT_CONFIG,
-    concurrency=None,
     candidate_limit: int | None = None,
     saturation_threshold: float = 0.3,
     strict_ids: bool = False,
@@ -129,7 +128,7 @@ def dedup_images_incremental(
     """See module docstring.  ``base_sigs`` = (image_id, simhash,
     phash) from the base run (the checkpointed signature table);
     ``base_assignment`` = its (image_id, cluster_id[, ...]) output."""
-    new_df = signatures(new_images, cfg, concurrency=concurrency).to_pandas()
+    new_df = signatures(new_images, cfg).to_pandas()
     return _fold_shard(
         new_df,
         base_sigs,
@@ -152,7 +151,6 @@ def dedup_documents_incremental(
     cfg: DedupConfig = DEFAULT_CONFIG,
     text_col: str = "text",
     id_col: str = "doc_id",
-    concurrency=None,
     candidate_limit: int | None = None,
     saturation_threshold: float = 0.3,
     strict_ids: bool = False,
@@ -162,9 +160,7 @@ def dedup_documents_incremental(
     ``base_sigs`` = (doc_id, simhash) from the base run."""
     from .dedup_docs import doc_signatures
 
-    new_df = doc_signatures(
-        new_docs, cfg, text_col, id_col, concurrency
-    ).to_pandas()
+    new_df = doc_signatures(new_docs, cfg, text_col, id_col).to_pandas()
     id_type = pa.string() if new_df[id_col].dtype == object else pa.from_numpy_dtype(
         new_df[id_col].dtype
     )

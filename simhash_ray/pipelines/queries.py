@@ -74,7 +74,7 @@ def _flagship_dedup(fdir: str):
     if res is None:
         images = read_table(fdir, "images", columns=["image_id", "caption", "phash"])
         res = flagship.dedup_images(
-            images, DEFAULT_CONFIG, concurrency=(1, 4),
+            images, DEFAULT_CONFIG,
             # reuse a signature table another image query already
             # encoded this session (same fixture + cfg; None on miss)
             precomputed_sigs=_SIGS_CACHE.get(key),
@@ -105,9 +105,7 @@ def _fixture_sigs(fdir: str) -> rd.Dataset:
             images = read_table(
                 fdir, "images", columns=["image_id", "caption", "phash"]
             )
-            sigs = flagship.signatures(
-                images, DEFAULT_CONFIG, concurrency=(1, 4)
-            ).materialize()
+            sigs = flagship.signatures(images, DEFAULT_CONFIG).materialize()
         _SIGS_CACHE.clear()  # hold at most one (bounded memory)
         _SIGS_CACHE[key] = sigs
     return sigs
@@ -3259,7 +3257,7 @@ def q_doc_simhash_sigs(sf_dir: str):
         "simhash_digests",
     )
     return encode_signatures(
-        docs, DEFAULT_CONFIG.simhash, text_col="text", concurrency=(1, 4)
+        docs, DEFAULT_CONFIG.simhash, text_col="text"
     ).select_columns(["doc_id", "simhash"])
 
 
@@ -3373,9 +3371,7 @@ def q_doc_simhash_dedup(sf_dir: str):
 
     docs = _docs(sf_dir, columns=["doc_id", "text"])
     sigs = (
-        encode_signatures(
-            docs, DEFAULT_CONFIG.simhash, text_col="text", concurrency=(1, 4)
-        )
+        encode_signatures(docs, DEFAULT_CONFIG.simhash, text_col="text")
         .select_columns(["doc_id", "simhash"])
         .materialize()
     )
@@ -3418,9 +3414,7 @@ def q_doc_dedup_incremental(sf_dir: str):
 
     docs = _docs(sf_dir, columns=["doc_id", "text"])
     sigs_all = (
-        encode_signatures(
-            docs, DEFAULT_CONFIG.simhash, text_col="text", concurrency=(1, 4)
-        )
+        encode_signatures(docs, DEFAULT_CONFIG.simhash, text_col="text")
         .select_columns(["doc_id", "simhash"])
         .materialize()
     )
@@ -3437,7 +3431,7 @@ def q_doc_dedup_incremental(sf_dir: str):
     ).materialize()
     base_assign = dedup_documents_from_sigs(base_sigs, DEFAULT_CONFIG).materialize()
     inc = dedup_documents_incremental(
-        shard_docs, base_sigs, base_assign, DEFAULT_CONFIG, concurrency=(1, 4)
+        shard_docs, base_sigs, base_assign, DEFAULT_CONFIG
     )
     reconstructed = _pd.concat(
         [
@@ -4029,9 +4023,7 @@ def q_doc_dedup_report(sf_dir: str):
 
     docs = _docs(sf_dir, columns=["doc_id", "text", "lang"])
     sigs = (
-        encode_signatures(
-            docs, DEFAULT_CONFIG.simhash, text_col="text", concurrency=(1, 4)
-        )
+        encode_signatures(docs, DEFAULT_CONFIG.simhash, text_col="text")
         .select_columns(["doc_id", "simhash"])
         .materialize()
     )
@@ -5325,7 +5317,7 @@ def q_images_dedup_cascade(sf_dir: str):
     _stage(images.select_columns(["image_id", "bytes"]), "images_cascade_base")
     _stage(sigs_all, "images_cascade_sigs")
     res = dedup_images_cascade(
-        images, DEFAULT_CONFIG, concurrency=(1, 4), precomputed_sigs=sigs_all
+        images, DEFAULT_CONFIG, precomputed_sigs=sigs_all
     )
     return res.assignment
 
@@ -5641,11 +5633,10 @@ def q_images_dedup_incremental(sf_dir: str):
         lambda t: in_base(t, False), batch_format="pyarrow"
     ).materialize()
 
-    base_res = flagship.dedup_images(base, DEFAULT_CONFIG, concurrency=(1, 4))
-    base_sigs = flagship.signatures(base, DEFAULT_CONFIG, concurrency=(1, 4))
+    base_res = flagship.dedup_images(base, DEFAULT_CONFIG)
+    base_sigs = flagship.signatures(base, DEFAULT_CONFIG)
     inc = dedup_images_incremental(
-        shard, base_sigs.materialize(), base_res.assignment, DEFAULT_CONFIG,
-        concurrency=(1, 4),
+        shard, base_sigs.materialize(), base_res.assignment, DEFAULT_CONFIG
     )
     reconstructed = _pd.concat(
         [

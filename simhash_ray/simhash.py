@@ -15,7 +15,7 @@ Two implementations, bit-identical by construction and by test
 - :func:`simhash_oracle` — slow, obviously-correct pure Python.  THE SPEC.
 - :func:`simhash_batch`  — vectorized numpy path used by the Ray stage
   (simhash_ray/stages/encode.py); per-unique-token hashing with a cache,
-  flat-array shingle folding, ``np.add.reduceat`` accumulation.
+  flat-array shingle folding, packed-lane segment-sum accumulation.
 
 Pinned primitives (all keyed by ``SimHashConfig.hash_seed``):
 
@@ -44,7 +44,6 @@ from .config import SimHashConfig
 
 _M = np.uint64(0x9E3779B97F4A7C15)
 _U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
-_SHIFTS = np.arange(64, dtype=np.uint64)
 
 
 def _seed_key(cfg: SimHashConfig) -> bytes:
@@ -139,89 +138,118 @@ def simhash_oracle(text: str, cfg: SimHashConfig = SimHashConfig()) -> int:
 
 
 class TokenHashCache:
-    """Per-actor cache: raw token → (u64 hash of normalized token,
-    64-lane char-gram contribution vector).  Natural-language token reuse
-    makes the hit rate high; this is the state the encoder actor holds
-    (the analogue of the reference's per-runner model replica,
-    /root/reference/src/Htm/Runner.hs:37-48)."""
+    """Per-process cache: raw token → (u64 hash of the normalized token,
+    its char-gram count, and per lane j the number of its char grams
+    whose bit j is set).  Natural-language token reuse makes the hit
+    rate high; this is the state an encoder process holds (the analogue
+    of the reference's per-runner model replica,
+    /root/reference/src/Htm/Runner.hs:37-48).
+
+    The cached rows live in one narrow table (uint8 lane counts, uint8
+    gram count, u64 hash: 73 bytes a token) indexed by one dict, grown
+    by doubling up to ``max_size`` tokens.  A token with more than 255
+    char grams does not fit a uint8 lane, so it is hashed again on every
+    lookup instead of cached."""
 
     def __init__(self, cfg: SimHashConfig, max_size: int = 1_000_000):
         self.cfg = cfg
         self.max_size = max_size
-        self._hash: dict[str, int] = {}
-        self._contrib: dict[str, np.ndarray] = {}
+        self._row: dict[str, int] = {}
+        self._hash = np.empty(0, dtype=np.uint64)
+        self._n_grams = np.empty(0, dtype=np.uint8)
+        self._bits = np.empty((0, 64), dtype=np.uint8)
 
-    def lookup(self, raw_tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Vector of token hashes (u64) and matrix of char-gram
-        contributions (int32, n×64) for a list of *unique* raw tokens.
+    def lookup(
+        self, raw_tokens: list[str]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Token hashes (u64, n), char-gram counts (int64, n) and
+        per-lane set-bit counts of those grams (n×64, unsigned, at
+        least uint8 wide) for a list of *unique* raw tokens.
 
         The miss path batches all new tokens: blake2b digests stay a C
-        loop, but the per-gram ±1 bit expansion — the round-1 hot spot
-        when every actor warms its cache on a fresh block — runs as ONE
-        flat (n_grams × 64) numpy pass + segment reduceat."""
-        cfg = self.cfg
+        loop, but the per-gram bit expansion runs as ONE flat
+        (n_grams × 64) unpack + packed-lane segment sum."""
         n = len(raw_tokens)
+        get = self._row.get
+        rows = np.fromiter((get(t, -1) for t in raw_tokens), np.int64, n)
+        miss = np.flatnonzero(rows < 0)
+        if not len(miss):
+            return (self._hash[rows], self._n_grams[rows].astype(np.int64),
+                    self._bits[rows])
+        m_hash, m_grams, m_bits = self._hash_tokens([raw_tokens[i] for i in miss])
+        hit = np.flatnonzero(rows >= 0)
         hashes = np.empty(n, dtype=np.uint64)
-        contribs = np.zeros((n, 64), dtype=np.int32)
-        miss_idx: list[int] = []
-        for i, raw in enumerate(raw_tokens):
-            h = self._hash.get(raw)
-            if h is None:
-                miss_idx.append(i)
-            else:
-                hashes[i] = h
-                contribs[i] = self._contrib[raw]
-        if not miss_idx:
-            return hashes, contribs
-        ng = cfg.char_ngram
-        gram_flat: list[int] = []
-        gram_counts = np.zeros(len(miss_idx), dtype=np.int64)
-        for j, i in enumerate(miss_idx):
-            norm = raw_tokens[i].lower() if cfg.lowercase else raw_tokens[i]
-            hashes[i] = token_hash(norm, cfg)
-            if ng > 0:
-                gh = chargram_hashes(norm, cfg)
-                gram_flat.extend(gh)
-                gram_counts[j] = len(gh)
-        if ng > 0 and gram_flat:
-            g = np.asarray(gram_flat, dtype=np.uint64)
-            pm = ((g[:, None] >> _SHIFTS[None, :]) & np.uint64(1)).astype(
-                np.int32
-            ) * 2 - 1  # (n_grams, 64) of ±1
-            starts = np.zeros(len(miss_idx), dtype=np.int64)
-            np.cumsum(gram_counts[:-1], out=starts[1:])
-            nz = gram_counts > 0
-            mc = np.zeros((len(miss_idx), 64), dtype=np.int32)
-            mc[nz] = np.add.reduceat(pm, starts[nz], axis=0)
-            contribs[np.asarray(miss_idx)] = mc
-        for i in miss_idx:
-            if len(self._hash) < self.max_size:
-                self._hash[raw_tokens[i]] = int(hashes[i])
-                # .copy(): contribs[i] is a VIEW into this call's full
-                # (n_uniq, 64) matrix — caching the view would pin every
-                # call's matrix alive for the actor's lifetime
-                self._contrib[raw_tokens[i]] = contribs[i].copy()
-        return hashes, contribs
+        n_grams = np.empty(n, dtype=np.int64)
+        bits = np.empty((n, 64), dtype=m_bits.dtype)
+        hashes[hit], hashes[miss] = self._hash[rows[hit]], m_hash
+        n_grams[hit], n_grams[miss] = self._n_grams[rows[hit]], m_grams
+        bits[hit], bits[miss] = self._bits[rows[hit]], m_bits
+        keep = miss[m_grams <= np.iinfo(np.uint8).max][: self.max_size - len(self._row)]
+        if len(keep):
+            self._store([raw_tokens[i] for i in keep], hashes[keep],
+                        n_grams[keep], bits[keep])
+        return hashes, n_grams, bits
+
+    def _hash_tokens(self, raw: list[str]):
+        """(hashes, gram counts, per-lane set-gram counts) of new tokens."""
+        cfg = self.cfg
+        norm = [t.lower() for t in raw] if cfg.lowercase else raw
+        hashes = np.array([token_hash(t, cfg) for t in norm], dtype=np.uint64)
+        grams = [chargram_hashes(t, cfg) for t in norm]
+        n_grams = np.array([len(g) for g in grams], dtype=np.int64)
+        flat = np.array([h for g in grams for h in g], dtype=np.uint64)
+        starts = np.zeros(len(raw), dtype=np.int64)
+        np.cumsum(n_grams[:-1], out=starts[1:])
+        bound = int(n_grams.max())
+        bits = _segment_sum(_unpack_bits64(flat), starts, n_grams, bound)
+        return hashes, n_grams, bits.astype(_lane_dtype(bound))
+
+    def _store(self, raw, hashes, n_grams, bits) -> None:
+        n0, k = len(self._row), len(raw)
+        if n0 + k > len(self._hash):  # grow by doubling, capped at max_size
+            cap = min(self.max_size, max(2 * len(self._hash), n0 + k, 1024))
+            for name in ("_hash", "_n_grams", "_bits"):
+                old = getattr(self, name)
+                new = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
+                new[:n0] = old[:n0]
+                setattr(self, name, new)
+        self._hash[n0 : n0 + k] = hashes
+        self._n_grams[n0 : n0 + k] = n_grams
+        self._bits[n0 : n0 + k] = bits
+        self._row.update(zip(raw, range(n0, n0 + k)))
 
 
-_ZERO64 = np.zeros(64, dtype=np.int32)
+def _lane_dtype(bound: int):
+    """The narrowest unsigned dtype that holds ``bound``."""
+    for dt in (np.uint8, np.uint16, np.uint32):
+        if bound <= np.iinfo(dt).max:
+            return dt
+    return np.uint64
 
 
-def _segment_sum(arr: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Row-segment sums of an (N, 64) matrix via np.add.reduceat with
-    widening dtype and the empty-segment fixup (reduceat yields
-    arr[start], not 0, for zero-length segments)."""
-    n_rows = len(counts)
-    out = np.zeros((n_rows, 64), dtype=np.int64)
+def _segment_sum(
+    arr: np.ndarray, starts: np.ndarray, counts: np.ndarray, bound: int
+) -> np.ndarray:
+    """Row-segment lane sums of a non-negative (N, 64) count matrix →
+    (n_rows, 64) int64.  ``bound`` must cap every row's lane sum.
+
+    Rows are summed as packed lanes in uint64 words: 8 lanes of 8 bits
+    (or 4 of 16, 2 of 32) per word, the narrowest width that holds
+    ``bound``, so a word add never carries from one lane into the next
+    and ``np.add.reduceat`` touches 8× (4×, 2×) fewer elements than a
+    lane-per-element sum.  A bound past 2^32 - 1 sums plain 64-bit
+    lanes."""
+    lane = _lane_dtype(bound)
+    out = np.zeros((len(counts), 64), dtype=lane)
     nz = counts > 0
-    if len(arr) == 0 or not nz.any():
-        return out
-    # reduceat over the starts of NONZERO segments only: those are
-    # strictly increasing and < len(arr), so each reduce spans exactly
-    # one segment (empty segments sit at the next nonzero start and
-    # would otherwise truncate or corrupt their neighbors).
-    out[nz] = np.add.reduceat(arr, starts[nz], axis=0, dtype=np.int64)
-    return out
+    if len(arr) and nz.any():
+        # reduceat over the starts of NONZERO segments only: those are
+        # strictly increasing and < len(arr), so each reduce spans
+        # exactly one segment (empty segments sit at the next nonzero
+        # start and would otherwise truncate or corrupt their neighbors)
+        words = np.ascontiguousarray(arr, dtype=lane).view(np.uint64)
+        out.view(np.uint64)[nz] = np.add.reduceat(words, starts[nz], axis=0)
+    return out.astype(np.int64)
 
 
 def _unpack_bits64(h: np.ndarray) -> np.ndarray:
@@ -330,8 +358,7 @@ def simhash_digest_rows(
         e = np.empty(0, dtype=np.int64)
         return e, np.empty(0, dtype=np.uint64), e
     uniq, codes, counts = _tokenize_flat(texts, n)
-    cache = TokenHashCache(cfg)
-    uhash, _ = cache.lookup(uniq)
+    uhash = TokenHashCache(cfg).lookup(uniq)[0]
     h = uhash[codes]
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
@@ -398,7 +425,7 @@ def simhash_batch(
         return np.empty(0, dtype=np.uint64)
 
     uniq, codes, counts = _tokenize_flat(texts, n)
-    uhash, ucontrib = cache.lookup(uniq)
+    uhash, ugrams, ubits = cache.lookup(uniq)
 
     h = uhash[codes]  # flat token hashes in row order
     offsets = np.zeros(n + 1, dtype=np.int64)
@@ -410,18 +437,22 @@ def simhash_batch(
     sh_flat, sh_counts, sh_starts = _shingle_digests(h, counts, starts, n, k, seed)
 
     # --- accumulate -----------------------------------------------------
-    # adder = Σ(±1 per digest bit) = 2·Σbits − n_digests, so sum raw 0/1
-    # bits (cheap uint8 unpack) and correct with the shingle counts.
-    bitsum = _segment_sum(_unpack_bits64(sh_flat), sh_starts[:-1], sh_counts)
-    adder = 2 * bitsum - sh_counts[:, None]
+    # adder = Σ(±1 per digest bit) = 2·(set bits) − n_digests: sum set
+    # bits only (each shingle's 0/1, each token occurrence's per-lane
+    # set-gram count) and correct with the per-row digest counts.
+    n_sh = int(sh_counts.max())
+    adder = 2 * _segment_sum(_unpack_bits64(sh_flat), sh_starts[:-1], sh_counts, n_sh)
+    adder -= sh_counts[:, None]
     if cfg.char_ngram > 0:
-        tok_contrib = ucontrib[codes]  # (n_tokens, 64) int32
-        adder += _segment_sum(tok_contrib, starts, counts)
+        grams_upto = np.zeros(len(codes) + 1, dtype=np.int64)
+        np.cumsum(ugrams[codes], out=grams_upto[1:])
+        row_grams = grams_upto[offsets[1:]] - grams_upto[starts]
+        bound = int(row_grams.max())
+        adder += 2 * _segment_sum(ubits[codes], starts, counts, bound)
+        adder -= row_grams[:, None]
 
-    sig = ((adder > 0).astype(np.uint64) << _SHIFTS[None, :]).sum(
-        axis=1, dtype=np.uint64
-    )
-    return sig
+    # lane j → bit j: pack each row's 64 sign bits LSB-first into 8 bytes
+    return np.packbits(adder > 0, axis=1, bitorder="little").view("<u8").ravel()
 
 
 _M1 = np.uint64(0x5555555555555555)

@@ -13,7 +13,10 @@ backpressures them as usual.
 
 Any callable class with ``__call__(pa.Table) -> pa.Table`` already
 satisfies the hot-path half (SimHashEncoder, LangIdScorer, ...);
-``StageAdapter`` bridges either shape into the pool.
+``StageAdapter`` bridges either shape into the pool.  SimHashEncoder
+stays a valid stage here, although the pipelines' own encode
+(stages/encode.encode_signatures) runs it per worker process from
+plain tasks rather than in a pool.
 """
 
 from __future__ import annotations

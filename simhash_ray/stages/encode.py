@@ -1,13 +1,16 @@
-"""SimHash encoder stage — the flagship map_batches actor (SURVEY.md §2.2 M4).
+"""SimHash encoder stage — the flagship ``map_batches`` (SURVEY.md §2.2 M4).
 
 Mirrors the reference's runner pattern: N model replicas each owning
 private hasher state behind a queue
 (/root/reference/src/Htm/Runner.hs:37-71, pool wiring
 /root/reference/app/simhash-runner.hs:163-170).  Here a replica is one
-actor in a ``map_batches`` pool; the state loaded once per actor
-(reference: the C++ model; ours: the token-hash cache + config) lives
-in ``__init__``, per-batch work in ``__call__`` — zero-copy Arrow in,
-Arrow out.
+Ray worker process: ``encode_signatures`` is a task-based
+``map_batches`` whose function builds the process's
+:class:`SimHashEncoder` (the token-hash cache + config) on first use
+and keeps it for every later batch, pass and pipeline the process
+runs.  Ray reuses task worker processes, so no pass spawns a process
+or rebuilds a cache, and the stage reserves no CPU beyond the task it
+runs.  Per-batch work is zero-copy Arrow in, Arrow out.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from ..simhash import TokenHashCache, simhash_batch
 
 
 class SimHashEncoder:
-    """Callable class for ``map_batches``: adds an int64 ``simhash``
+    """Holder of the encoder's per-process state (config + token-hash
+    cache) and callable for ``map_batches``: adds an int64 ``simhash``
     column computed from a text column.  Conforms to the ``Stage``
     protocol (stages/base.py) — ``setup``/``process_batch``/
     ``checkpoint`` — so it is pluggable through ``compile_pipeline``
@@ -44,13 +48,38 @@ class SimHashEncoder:
     def checkpoint(self) -> dict:
         return {"config_hash": self.cfg.config_hash()}
 
-    def process_batch(self, batch: pa.Table) -> pa.Table:
-        sigs = simhash_batch(batch[self.text_col], self.cfg, self.cache)
+    def encode(self, batch: pa.Table, text_col: str, out_col: str) -> pa.Table:
+        sigs = simhash_batch(batch[text_col], self.cfg, self.cache)
         return batch.append_column(
-            self.out_col, pa.array(sigs.view(np.int64), type=pa.int64())
+            out_col, pa.array(sigs.view(np.int64), type=pa.int64())
         )
 
+    def process_batch(self, batch: pa.Table) -> pa.Table:
+        return self.encode(batch, self.text_col, self.out_col)
+
     __call__ = process_batch
+
+
+# The worker process's encoder, keyed by ``cfg.config_hash()``.  One
+# entry at most: a batch under another config replaces it, so a
+# process never holds two caches.
+_PROCESS_ENCODER: dict[str, SimHashEncoder] = {}
+
+
+def process_encoder(cfg: SimHashConfig) -> SimHashEncoder:
+    """This process's encoder for ``cfg``, built on first use."""
+    key = cfg.config_hash()
+    enc = _PROCESS_ENCODER.get(key)
+    if enc is None:
+        _PROCESS_ENCODER.clear()
+        enc = _PROCESS_ENCODER[key] = SimHashEncoder(cfg)
+    return enc
+
+
+def _encode_batch(
+    batch: pa.Table, cfg: SimHashConfig, text_col: str, out_col: str
+) -> pa.Table:
+    return process_encoder(cfg).encode(batch, text_col, out_col)
 
 
 def encode_signatures(
@@ -59,36 +88,17 @@ def encode_signatures(
     text_col: str = "caption",
     out_col: str = "simhash",
     batch_size: int = 4096,
-    concurrency=None,
 ) -> rd.Dataset:
-    """Attach the 64-bit SimHash signature column via an actor pool.
-
-    ``concurrency=None`` sizes an autoscaling pool (1, n_cpus) from the
-    cluster; pass an int or (min, max) to pin it.  batch_size ~4k keeps
-    per-batch numpy intermediates (n_digests × 64 lanes) in cache.
-    """
-    if concurrency is None:
-        import ray
-
-        n_cpus = int(ray.cluster_resources().get("CPU", 4))
-        # small min floor: pool spawn cost is proportional to the
-        # floor (hurts the high-CPU run), while a 1-actor start
-        # serializes the stage head.  Floor and cap both stay below
-        # the cluster CPU count so upstream read/map tasks never
-        # starve (a pool that reserves every CPU deadlocks tiny
-        # clusters).
-        concurrency = (
-            max(1, min(4, n_cpus // 2)),
-            max(1, n_cpus - 1),  # strictly below the CPU count: a pool
-            # reserving every core starves the feeding read/map tasks
-        )
+    """Attach the 64-bit SimHash signature column: a task-based
+    ``map_batches`` on the process-held encoder
+    (:func:`process_encoder`).  batch_size ~4k keeps per-batch numpy
+    intermediates (n_digests × 64 lanes) in cache."""
     return ds.map_batches(
-        SimHashEncoder,
-        fn_constructor_kwargs={"cfg": cfg, "text_col": text_col, "out_col": out_col},
+        _encode_batch,
+        fn_kwargs={"cfg": cfg, "text_col": text_col, "out_col": out_col},
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=batch_size,
-        concurrency=concurrency,
     )
 
 

@@ -150,12 +150,10 @@ def test_one_dataset_join_call():
         return isinstance(call.func, ast.Attribute) and call.func.attr == "cluster_resources"
 
     # the other CPU reads size things that are not joins: the broadcast
-    # band tasks, the encode pool, the pre-band repartition and the
-    # shuffle part count
+    # band tasks, the pre-band repartition and the shuffle part count
     assert set(_calls(reads_cpus)) == {
         ("stages/joins.py", "join_partitions"),
         ("stages/lsh.py", "broadcast_candidate_edges"),
-        ("stages/encode.py", "encode_signatures"),
         ("pipelines/dedup_images.py", "_narrow_repartition"),
         ("pipelines/dedup_images.py", "choose_n_parts"),
     }

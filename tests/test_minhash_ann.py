@@ -295,9 +295,10 @@ def test_dedup_documents_coclusters_paraphrases():
     from simhash_ray.simhash import hamming64, simhash_batch
 
     dfc = _paraphrase_corpus(n_base=150, n_dup=60, seed=6, drop=0.015)
-    out = dedup_documents(
-        rd.from_pandas(dfc), DEFAULT_CONFIG, concurrency=(1, 2)
-    ).to_pandas().set_index("doc_id")
+    out = (
+        dedup_documents(rd.from_pandas(dfc), DEFAULT_CONFIG)
+        .to_pandas().set_index("doc_id")
+    )
     assert len(out) == len(dfc)
     # certify planted pairs against the operator's actual contract:
     # pairs INSIDE the pinned Hamming ball co-cluster with recall 1.0
@@ -324,14 +325,13 @@ def test_dedup_documents_distributed_matches_direct():
 
     dfc = _paraphrase_corpus(n_base=150, n_dup=60, seed=6, drop=0.015)
     direct = (
-        dedup_documents(rd.from_pandas(dfc), DEFAULT_CONFIG, concurrency=(1, 2))
+        dedup_documents(rd.from_pandas(dfc), DEFAULT_CONFIG)
         .to_pandas()
         .sort_values("doc_id", ignore_index=True)
     )
     dist = (
         dedup_documents(
-            rd.from_pandas(dfc), DEFAULT_CONFIG, concurrency=(1, 2),
-            broadcast_sig_limit=0,
+            rd.from_pandas(dfc), DEFAULT_CONFIG, broadcast_sig_limit=0,
         )
         .to_pandas()
         .sort_values("doc_id", ignore_index=True)

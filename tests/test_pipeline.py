@@ -97,7 +97,7 @@ def test_cluster_scale_attach_and_survivor_join_paths(fixture_tables, result):
     from simhash_ray.stages.collapse import collapse_exact
 
     images = rd.from_arrow(fixture_tables["images"])
-    sigs = signatures(images, DEFAULT_CONFIG, concurrency=(1, 2))
+    sigs = signatures(images, DEFAULT_CONFIG)
     collapsed = collapse_exact(sigs, 8).materialize()
     edges = dup_edges(collapsed, DEFAULT_CONFIG, 8).materialize()
 
@@ -273,27 +273,35 @@ def test_dedup_images_precomputed_sigs_identical():
     pd.testing.assert_frame_equal(canon(base), canon(pre_dist))
 
 
-def test_direct_regime_completes_on_one_cpu_session():
-    """A 1-CPU Ray session must finish the direct regime: its broadcast
-    band tasks once asked for 2 CPUs, which such a session can never
-    grant, so the run waited forever.  Own session in a subprocess."""
+def test_direct_regime_completes_on_one_cpu_session(tmp_path):
+    """A 1-CPU Ray session must finish the direct regime over a Parquet
+    read, twice.  Two things once made it wait forever: broadcast band
+    tasks that asked for 2 CPUs, and an encode actor pool that kept the
+    only CPU so the read tasks feeding it never ran.  Own session in a
+    subprocess, hard timeout."""
     import os
     import signal
     import subprocess
     import sys
     import textwrap
 
+    from simhash_ray.fixtures import FixtureSpec, default_fixture_dir, write_fixture
+
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = FixtureSpec(n_rows=400, seed=5)
+    fdir = write_fixture(default_fixture_dir(spec), spec)
     code = textwrap.dedent(
-        """
-        import ray, ray.data as rd
+        f"""
+        import ray
         ray.init(address="local", num_cpus=1, include_dashboard=False,
                  logging_level="ERROR", object_store_memory=200 << 20)
-        from simhash_ray.fixtures import FixtureSpec, generate_fixture
         from simhash_ray.pipelines.dedup_images import dedup_images
-        fx = generate_fixture(FixtureSpec(n_rows=500, seed=5))
-        res = dedup_images(rd.from_arrow(fx["images"]))
-        print("ROWS", res.assignment.count(), res.n_clusters_with_dups)
+        from simhash_ray.sources.tables import read_table
+        for _ in range(2):
+            images = read_table({fdir!r}, "images",
+                                columns=["image_id", "caption", "phash"])
+            res = dedup_images(images)
+            print("ROWS", res.assignment.count(), res.n_clusters_with_dups)
         ray.shutdown()
         """
     )
@@ -301,15 +309,18 @@ def test_direct_regime_completes_on_one_cpu_session():
     env.pop("RAY_ADDRESS", None)
     env["PYTHONPATH"] = root
     proc = subprocess.Popen(
-        [sys.executable, "-c", code], cwd=root, env=env, text=True,
+        [sys.executable, "-c", code], cwd=str(tmp_path), env=env, text=True,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
     )
     try:
-        out, err = proc.communicate(timeout=240)
+        out, err = proc.communicate(timeout=180)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)  # the session's raylet/gcs too
         proc.communicate()
         pytest.fail("dedup_images did not finish on a 1-CPU Ray session")
     assert proc.returncode == 0, err[-2000:]
-    rows, n_clusters = out.strip().splitlines()[-1].split()[1:]
-    assert int(rows) == 500 and int(n_clusters) >= 1
+    lines = [ln for ln in out.splitlines() if ln.startswith("ROWS")]
+    assert len(lines) == 2
+    for ln in lines:
+        rows, n_clusters = ln.split()[1:]
+        assert int(rows) == 400 and int(n_clusters) >= 1

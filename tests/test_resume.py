@@ -242,7 +242,7 @@ def test_sharded_signatures_resume_identical(tmp_path):
     assert run2.metrics.stages["signatures"]["shards_resumed"] == 3
 
     want = (
-        signatures(rd.from_arrow(tables["images"]), concurrency=(1, 2))
+        signatures(rd.from_arrow(tables["images"]))
         .to_pandas()
         .sort_values("image_id")
         .reset_index(drop=True)
@@ -369,20 +369,18 @@ def test_doc_dedup_checkpointed_matches_plain_and_resumes(tmp_path):
         return ds.to_pandas().sort_values("doc_id", ignore_index=True)
 
     docs = rd.from_arrow(docs_tbl)
-    want = canon(dedup_documents(docs, concurrency=(1, 2)))
+    want = canon(dedup_documents(docs))
     root = str(tmp_path / "dd")
-    got1 = canon(
-        dedup_documents_checkpointed(docs, root, concurrency=(1, 2))
-    )
+    got1 = canon(dedup_documents_checkpointed(docs, root))
     pd.testing.assert_frame_equal(want, got1.astype(want.dtypes.to_dict()))
     # full rerun: both stages resumed
-    got2 = canon(dedup_documents_checkpointed(docs, root, concurrency=(1, 2)))
+    got2 = canon(dedup_documents_checkpointed(docs, root))
     pd.testing.assert_frame_equal(want, got2.astype(want.dtypes.to_dict()))
     metrics = json.load(open(os.path.join(root, "metrics.json")))
     assert all(v["resumed"] for v in metrics.values())
     # kill-sim: lose the assignment commit, keep the encode
     os.remove(os.path.join(root, "doc_assignment.manifest.json"))
-    got3 = canon(dedup_documents_checkpointed(docs, root, concurrency=(1, 2)))
+    got3 = canon(dedup_documents_checkpointed(docs, root))
     pd.testing.assert_frame_equal(want, got3.astype(want.dtypes.to_dict()))
     metrics = json.load(open(os.path.join(root, "metrics.json")))
     assert metrics["doc_signatures"]["resumed"]

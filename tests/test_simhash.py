@@ -156,6 +156,105 @@ def test_hamming64_known_values():
 
 
 # --------------------------------------------------------------------------
+# packed-lane accumulate: overflow guards and the cache's memory bound
+
+
+def _overflow_rows():
+    rng = np.random.default_rng(2024)
+    letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
+
+    def word(n):
+        return "".join(rng.choice(letters, n))
+
+    return [
+        "a caption " + word(200) + " with one long token",  # 198 grams > 127
+        word(300) + " " + word(5),  # 298 grams: too wide to cache
+        " ".join(["x" * 100] * 700),  # every lane sums to ±68,600
+        "",
+        " ".join("".join(p) for p in rng.choice(letters, (700_000, 2))),  # 2.1 MB
+        "the quick brown fox",
+    ]
+
+
+# simhash_batch of _overflow_rows() before the accumulate was narrowed
+# (int64 reduceat over int32 per-token ±1 sums); each equals the oracle
+_OVERFLOW_GOLDEN = [
+    0x6F27CBAA3E51242C, 0x547891C6D475B4B8, 0xD7A5009B9DFDBA07,
+    0x0, 0xF0E8661F5841D5C1, 0x05891E91CD1034E3,
+]
+
+
+def test_accumulate_overflow_rows_match_oracle_across_batch_splits():
+    """Rows that overflow a narrow lane: a token with more than 127 (and
+    more than 255) char grams, a row of 700 tokens whose 98 grams all
+    agree, so 700 × max|contrib| and every lane's sum pass the int16
+    and uint16 ranges, an empty row and a 2.1 MB document (over 65,535
+    shingles).  Every batch split, with a warm and with a cold cache,
+    gives the oracle's and the pre-narrowing signatures."""
+    rows = _overflow_rows()
+    want = np.array(_OVERFLOW_GOLDEN, dtype=np.uint64)
+    oracle = np.array([simhash_oracle(t, CFG) for t in rows], dtype=np.uint64)
+    np.testing.assert_array_equal(oracle, want)
+    warm = TokenHashCache(CFG)
+    n = len(rows)
+    splits = [[range(n)], [[i] for i in range(n)], [range(3), range(3, n)]]
+    for split in splits:
+        for cache in (warm, TokenHashCache(CFG)):
+            for idx in split:
+                idx = list(idx)
+                got = simhash_batch(pa.array([rows[i] for i in idx]), CFG, cache)
+                np.testing.assert_array_equal(got, want[idx])
+
+
+@pytest.mark.parametrize("bound", [255, 256, 65_535, 65_536, 2**32 - 1, 2**32])
+def test_segment_sum_every_lane_width(bound):
+    """Each packed lane width (8, 16, 32 bits, and plain 64) sums to the
+    int64 reference, also where a row's lane sum sits exactly at the
+    width's maximum (a carry would spill into the next lane)."""
+    from simhash_ray.simhash import _segment_sum
+
+    rng = np.random.default_rng(bound % 1000)
+    counts = np.array([0, 3, 1, 0, 5, 2, 0], dtype=np.int64)
+    starts = np.zeros(len(counts), dtype=np.int64)
+    np.cumsum(counts[:-1], out=starts[1:])
+    top = min(bound, 65_535)  # per-element values stay small in memory
+    arr = rng.integers(0, top // 5 + 1, (int(counts.sum()), 64)).astype(np.int64)
+    arr[starts[1] : starts[1] + 3, :] = 0
+    arr[starts[1], ::2] = top  # row 1 reaches the lane maximum in half its lanes
+    want = np.zeros((len(counts), 64), dtype=np.int64)
+    for r, (s, c) in enumerate(zip(starts, counts)):
+        want[r] = arr[s : s + c].sum(axis=0)
+    assert want.max() <= bound
+    got = _segment_sum(arr, starts, counts, bound)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+
+
+def test_token_cache_bytes_per_token_bound():
+    """A cached token costs one narrow table row plus its dict entry:
+    under 300 bytes (541 with one int32 ndarray a token), traced over
+    50,000 distinct tokens; ``max_size`` caps the entries."""
+    import gc
+    import tracemalloc
+
+    n = 50_000
+    tracemalloc.start()
+    try:
+        cache = TokenHashCache(CFG)
+        for lo in range(0, n, 4096):
+            cache.lookup([f"w{i}q{i * 7919 % 1009}" for i in range(lo, min(n, lo + 4096))])
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held / n < 300, held / n
+    small = TokenHashCache(CFG, max_size=1000)
+    small.lookup([f"t{i}" for i in range(5000)])
+    small.lookup([f"u{i}" for i in range(5000)])
+    assert len(small._row) == 1000 and len(small._hash) == 1000
+
+
+# --------------------------------------------------------------------------
 # digest-multiset projection (the doc_simhash_sigs staged-oracle seam)
 
 
@@ -242,10 +341,7 @@ def test_idf_weighted_signatures_cap1_equals_uniform_and_layout_invariant():
         .to_pandas().set_index("doc_id").sort_index()
     )
     uni = (
-        encode_signatures(
-            rd.from_pandas(df), DEFAULT_CONFIG.simhash,
-            text_col="text", concurrency=(1, 2),
-        )
+        encode_signatures(rd.from_pandas(df), DEFAULT_CONFIG.simhash, text_col="text")
         .select_columns(["doc_id", "simhash"])
         .to_pandas().set_index("doc_id").sort_index()
     )

@@ -142,6 +142,5 @@ def test_label_lines_feed_text_pipeline(tmp_path):
         ),
         DEFAULT_CONFIG.simhash,
         text_col="text",
-        concurrency=(1, 2),
     )
     assert sigs.count() == 50
